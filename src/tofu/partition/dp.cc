@@ -17,11 +17,11 @@
 namespace tofu {
 
 std::string DpOptions::Fingerprint() const {
-  // num_threads and step_table_cache are deliberately omitted: neither can change the
-  // returned plan (the fields' contracts above), so keying on them would only cause
-  // spurious cache misses. memory_budget_bytes is included: the budget steers which
-  // states survive, so plans searched under different budgets differ. prune_dominated
-  // is included for its SearchStats (the plan itself is provably invariant).
+  // num_threads (ignored) and step_table_cache are deliberately omitted: neither can
+  // change the returned plan, so keying on them would only cause spurious cache
+  // misses. memory_budget_bytes is included: the budget steers which states survive,
+  // so plans searched under different budgets differ. prune_dominated is included for
+  // its SearchStats (the plan itself is provably invariant).
   return StrFormat("dp=%d,%lld,%.17g,%lld,%d;", allow_reduction_strategies ? 1 : 0,
                    static_cast<long long>(max_states), link_bandwidth,
                    static_cast<long long>(memory_budget_bytes),
@@ -475,7 +475,6 @@ DpResult RunStepDp(StepContext* ctx, const CoarseGraph& coarse, const DpOptions&
 
   SearchEngineOptions engine_options;
   engine_options.max_states = options.max_states;
-  engine_options.num_threads = options.num_threads;
   engine_options.prune_dominated = options.prune_dominated;
   engine_options.memory_budget = static_cast<double>(options.memory_budget_bytes);
   if (cached != nullptr) {

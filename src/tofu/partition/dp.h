@@ -10,7 +10,7 @@
 // fork-joins simply widen the frontier by one slot.
 //
 // The frontier mechanics (packed-integer state keys, per-group dense cost tables, beam
-// degradation, optional threaded expansion) live in the shared engine of
+// degradation) live in the shared engine of
 // partition/search_engine.h; this file contributes only the step-DP cost semantics.
 #ifndef TOFU_PARTITION_DP_H_
 #define TOFU_PARTITION_DP_H_
@@ -34,8 +34,8 @@ struct DpOptions {
   bool allow_reduction_strategies = true;
   // Safety cap on simultaneous DP states (frontier blow-up on non-chain graphs).
   std::int64_t max_states = 1 << 22;
-  // Threads for state expansion (see SearchEngineOptions::num_threads). 0 (the default)
-  // auto-sizes from hardware_concurrency; any value yields byte-identical plans.
+  // Ignored: the search runs on its calling thread. Kept only because planbench/ still
+  // assigns it; drop it once the benchmark no longer does.
   int num_threads = 0;
   // Dominated-option pruning in the engine's dense-lattice searches (see
   // SearchEngineOptions::prune_dominated): provably plan-preserving, on by default;
@@ -68,13 +68,13 @@ struct DpOptions {
 
   // Deterministic serialization of every semantically relevant field for the Session
   // plan-cache key; extend together with the struct (see CoarsenOptions::Fingerprint).
-  // num_threads and step_table_cache are omitted: neither can change the returned plan.
+  // num_threads (ignored) and step_table_cache are omitted: neither changes the plan.
   std::string Fingerprint() const;
 };
 
 // Cache of per-step DP compilations, keyed by (graph signature, step shapes, ways,
 // strategy filtering) -- everything the compiled artifacts depend on, and nothing they
-// do not: memory budgets, link bandwidths, thread counts and state caps are all
+// do not: memory budgets, link bandwidths and state caps are all
 // EXCLUDED, so a request that differs only in those (a budget ladder probing the same
 // model, a re-plan after a bandwidth re-measure) reuses the expensive work of the
 // original search. A hit skips rebuilding the per-unit cost evaluators and the per-slot

@@ -5,12 +5,10 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "tofu/util/logging.h"
-#include "tofu/util/thread_pool.h"
 
 namespace tofu {
 namespace {
@@ -19,16 +17,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// 0 = auto: one thread per hardware context (the pool clamps to hardware_concurrency
-// anyway; this just makes the auto default explicit when the query fails).
-int ResolveThreads(int requested) {
-  if (requested > 0) {
-    return requested;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 // Bits needed to store option indices 0..n-1 (0 bits for single-option slots).
@@ -143,12 +131,11 @@ inline std::int64_t SatMul(std::int64_t a, int b) {
 struct SearchEngine::Impl {
   SearchSpace space;
   SearchEngineOptions options;
-  ThreadPool pool;
   std::vector<int> slot_bits;
   int words = 1;  // per-key words, sized for the widest frontier the schedule reaches
 
   Impl(SearchSpace s, SearchEngineOptions o)
-      : space(std::move(s)), options(o), pool(ResolveThreads(o.num_threads)) {
+      : space(std::move(s)), options(o) {
     const int num_slots = static_cast<int>(space.slot_num_options.size());
     slot_bits.resize(static_cast<size_t>(num_slots));
     for (int s2 = 0; s2 < num_slots; ++s2) {
@@ -513,15 +500,13 @@ SearchEngine::Result SearchEngine::Impl::RunDense(const GroupCostFn& table_fn,
         }
         const std::int64_t n_in = static_cast<std::int64_t>(cost.size());
         scratch.resize(static_cast<size_t>(n_in) * static_cast<size_t>(m));
-        pool.ParallelFor(n_in, [&](int, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const double v = cost[static_cast<size_t>(i)];
-            double* out = scratch.data() + static_cast<size_t>(i) * static_cast<size_t>(m);
-            for (int c = 0; c < m; ++c) {
-              out[c] = v;
-            }
+        for (std::int64_t i = 0; i < n_in; ++i) {
+          const double v = cost[static_cast<size_t>(i)];
+          double* out = scratch.data() + static_cast<size_t>(i) * static_cast<size_t>(m);
+          for (int c = 0; c < m; ++c) {
+            out[c] = v;
           }
-        });
+        }
         std::swap(cost, scratch);
         axis_of_slot[static_cast<size_t>(s)] = static_cast<int>(axes.size());
         axes.push_back({s, m});
@@ -549,12 +534,9 @@ SearchEngine::Result SearchEngine::Impl::RunDense(const GroupCostFn& table_fn,
         // Every touched slot is fixed; with kept[0] == 0 for all of them (option 0 is
         // never dominated), the single gathered cell is the compact table's first.
         const double v = table[0];
-        pool.ParallelFor(static_cast<std::int64_t>(cost.size()),
-                         [&](int, std::int64_t lo, std::int64_t hi) {
-                           for (std::int64_t i = lo; i < hi; ++i) {
-                             cost[static_cast<size_t>(i)] += v;
-                           }
-                         });
+        for (double& c : cost) {
+          c += v;
+        }
       } else {
         std::sort(ax.begin(), ax.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -564,33 +546,25 @@ SearchEngine::Result SearchEngine::Impl::RunDense(const GroupCostFn& table_fn,
           prefix *= axes[static_cast<size_t>(j)].size;
         }
         const std::int64_t run = static_cast<std::int64_t>(cost.size()) / prefix;
-        pool.ParallelFor(prefix, [&](int, std::int64_t lo, std::int64_t hi) {
-          std::vector<int> coord(static_cast<size_t>(pmax) + 1, 0);
-          std::int64_t r = lo;
+        std::vector<int> coord(static_cast<size_t>(pmax) + 1, 0);
+        for (std::int64_t m = 0; m < prefix; ++m) {
+          std::int64_t tidx = 0;
+          for (const auto& a : ax) {
+            tidx +=
+                static_cast<std::int64_t>(coord[static_cast<size_t>(a.first)]) * a.second;
+          }
+          const double v = table[static_cast<size_t>(tidx)];
+          double* c = cost.data() + static_cast<size_t>(m) * static_cast<size_t>(run);
+          for (std::int64_t x = 0; x < run; ++x) {
+            c[x] += v;  // contiguous: the auto-vectorized inner loop
+          }
           for (int j = pmax; j >= 0; --j) {
-            coord[static_cast<size_t>(j)] =
-                static_cast<int>(r % axes[static_cast<size_t>(j)].size);
-            r /= axes[static_cast<size_t>(j)].size;
+            if (++coord[static_cast<size_t>(j)] < axes[static_cast<size_t>(j)].size) {
+              break;
+            }
+            coord[static_cast<size_t>(j)] = 0;
           }
-          for (std::int64_t m = lo; m < hi; ++m) {
-            std::int64_t tidx = 0;
-            for (const auto& a : ax) {
-              tidx += static_cast<std::int64_t>(coord[static_cast<size_t>(a.first)]) *
-                      a.second;
-            }
-            const double v = table[static_cast<size_t>(tidx)];
-            double* c = cost.data() + static_cast<size_t>(m) * static_cast<size_t>(run);
-            for (std::int64_t x = 0; x < run; ++x) {
-              c[x] += v;  // contiguous: the auto-vectorized inner loop
-            }
-            for (int j = pmax; j >= 0; --j) {
-              if (++coord[static_cast<size_t>(j)] < axes[static_cast<size_t>(j)].size) {
-                break;
-              }
-              coord[static_cast<size_t>(j)] = 0;
-            }
-          }
-        });
+        }
       }
       result.stats.charge_seconds += SecondsSince(t0);
     }
@@ -623,28 +597,26 @@ SearchEngine::Result SearchEngine::Impl::RunDense(const GroupCostFn& table_fn,
         ProjEvent event;
         event.slot = axis.slot;
         event.winners.resize(static_cast<size_t>(out_size));
-        pool.ParallelFor(out_size / st, [&](int, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t outer = lo; outer < hi; ++outer) {
-            const double* in = cost.data() + static_cast<size_t>(outer * n * st);
-            double* out = scratch.data() + static_cast<size_t>(outer * st);
-            std::uint8_t* win = event.winners.data() + static_cast<size_t>(outer * st);
+        for (std::int64_t outer = 0; outer < out_size / st; ++outer) {
+          const double* in = cost.data() + static_cast<size_t>(outer * n * st);
+          double* out = scratch.data() + static_cast<size_t>(outer * st);
+          std::uint8_t* win = event.winners.data() + static_cast<size_t>(outer * st);
+          for (std::int64_t x = 0; x < st; ++x) {
+            out[x] = in[x];
+            win[x] = 0;
+          }
+          for (std::int64_t c = 1; c < n; ++c) {
+            const double* inc = in + static_cast<size_t>(c * st);
             for (std::int64_t x = 0; x < st; ++x) {
-              out[x] = in[x];
-              win[x] = 0;
-            }
-            for (std::int64_t c = 1; c < n; ++c) {
-              const double* inc = in + static_cast<size_t>(c * st);
-              for (std::int64_t x = 0; x < st; ++x) {
-                // Strict less: ties keep the lowest coordinate, the sparse merge's
-                // first-in-branch-order winner.
-                if (inc[x] < out[x]) {
-                  out[x] = inc[x];
-                  win[x] = static_cast<std::uint8_t>(c);
-                }
+              // Strict less: ties keep the lowest coordinate, the sparse merge's
+              // first-in-branch-order winner.
+              if (inc[x] < out[x]) {
+                out[x] = inc[x];
+                win[x] = static_cast<std::uint8_t>(c);
               }
             }
           }
-        });
+        }
         std::swap(cost, scratch);
         axes.erase(axes.begin() + pos);
         axis_of_slot[static_cast<size_t>(axis.slot)] = -1;
@@ -792,64 +764,42 @@ SearchEngine::Result SearchEngine::Impl::RunImpl(const GroupCostFn* table_fn,
                  static_cast<size_t>(std::numeric_limits<std::int32_t>::max()));
       const std::int64_t rec_base = static_cast<std::int64_t>(recs.size());
       const int offset = width;
-      if (track) {
-        // Compacting serial branch with budget pruning. A child is kept only when its
-        // accumulated bytes plus the cheapest choice for every still-undecided slot can
-        // fit the budget -- pruning is therefore provably safe (no feasible completion
-        // is discarded), and since each live parent's cheapest child always passes,
-        // the state set can never empty here. Serial is a deliberate simplicity
-        // tradeoff: compaction makes output offsets data-dependent; a per-shard
-        // count + prefix-sum two-pass would restore ParallelFor bit-identically if
-        // constrained-search wall time ever matters.
-        const std::vector<double>& ob = space.slot_option_bytes[static_cast<size_t>(s)];
-        const double rest_min = remaining_min - slot_min_bytes[static_cast<size_t>(s)];
-        recs.reserve(recs.size() + static_cast<size_t>(n_out));
-        scratch.Resize(n_out);
-        std::int64_t kept = 0;
-        for (std::int64_t i = 0; i < n_in; ++i) {
-          const std::uint64_t* in_key = states.key(i);
-          for (int o = 0; o < opts; ++o) {
-            const double child_bytes = states.bytes[static_cast<size_t>(i)] + ob[static_cast<size_t>(o)];
+      // With a budget, a child is kept only when its accumulated bytes plus the cheapest
+      // choice for every still-undecided slot can fit -- pruning is therefore provably
+      // safe (no feasible completion is discarded), and since each live parent's
+      // cheapest child always passes, the state set can never empty here.
+      const std::vector<double>* ob =
+          track ? &space.slot_option_bytes[static_cast<size_t>(s)] : nullptr;
+      const double rest_min =
+          track ? remaining_min - slot_min_bytes[static_cast<size_t>(s)] : 0.0;
+      scratch.Resize(n_out);
+      std::int64_t kept = 0;
+      for (std::int64_t i = 0; i < n_in; ++i) {
+        const std::uint64_t* in_key = states.key(i);
+        for (int o = 0; o < opts; ++o) {
+          if (track) {
+            const double child_bytes =
+                states.bytes[static_cast<size_t>(i)] + (*ob)[static_cast<size_t>(o)];
             if (child_bytes + rest_min > budget) {
               ++result.stats.memory_pruned_states;
               continue;
             }
-            std::uint64_t* out_key = scratch.key(kept);
-            std::memcpy(out_key, in_key, sizeof(std::uint64_t) * static_cast<size_t>(words));
-            WriteField(out_key, offset, bits, static_cast<std::uint64_t>(o));
-            scratch.cost[static_cast<size_t>(kept)] = states.cost[static_cast<size_t>(i)];
             scratch.bytes[static_cast<size_t>(kept)] = child_bytes;
-            recs.push_back({states.rec[static_cast<size_t>(i)], static_cast<std::int32_t>(s),
-                            static_cast<std::int32_t>(o)});
-            scratch.rec[static_cast<size_t>(kept)] =
-                static_cast<std::int32_t>(rec_base + kept);
-            ++kept;
           }
+          std::uint64_t* out_key = scratch.key(kept);
+          std::memcpy(out_key, in_key, sizeof(std::uint64_t) * static_cast<size_t>(words));
+          WriteField(out_key, offset, bits, static_cast<std::uint64_t>(o));
+          scratch.cost[static_cast<size_t>(kept)] = states.cost[static_cast<size_t>(i)];
+          recs.push_back({states.rec[static_cast<size_t>(i)], static_cast<std::int32_t>(s),
+                          static_cast<std::int32_t>(o)});
+          scratch.rec[static_cast<size_t>(kept)] =
+              static_cast<std::int32_t>(rec_base + kept);
+          ++kept;
         }
-        TOFU_CHECK_GE(kept, 1);
-        scratch.Shrink(kept);
-        remaining_min = rest_min;
-      } else {
-        recs.resize(recs.size() + static_cast<size_t>(n_out));
-        scratch.Resize(n_out);
-        pool.ParallelFor(n_in, [&](int, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const std::uint64_t* in_key = states.key(i);
-            for (int o = 0; o < opts; ++o) {
-              const std::int64_t j = i * opts + o;
-              std::uint64_t* out_key = scratch.key(j);
-              std::memcpy(out_key, in_key, sizeof(std::uint64_t) * static_cast<size_t>(words));
-              WriteField(out_key, offset, bits, static_cast<std::uint64_t>(o));
-              scratch.cost[static_cast<size_t>(j)] = states.cost[static_cast<size_t>(i)];
-              const std::int64_t r = rec_base + j;
-              recs[static_cast<size_t>(r)] = {states.rec[static_cast<size_t>(i)],
-                                              static_cast<std::int32_t>(s),
-                                              static_cast<std::int32_t>(o)};
-              scratch.rec[static_cast<size_t>(j)] = static_cast<std::int32_t>(r);
-            }
-          }
-        });
       }
+      TOFU_CHECK_GE(kept, 1);
+      scratch.Shrink(kept);
+      remaining_min = rest_min;
       std::swap(states, scratch);
       frontier.push_back({s, width, bits});
       width += bits;
@@ -976,25 +926,19 @@ SearchEngine::Result SearchEngine::Impl::RunImpl(const GroupCostFn* table_fn,
         result.stats.cost_table_entries += cells;
 
         const auto t_charge = Clock::now();
-        const std::vector<double>& table_ref = *table;
-        const std::vector<FrontierField>& rel_ref = rel;
-        const std::vector<std::int64_t>& stride_ref = stride;
-        pool.ParallelFor(states.count(), [&](int, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const std::uint64_t* key = states.key(i);
-            std::int64_t idx = 0;
-            for (int f = 0; f < k; ++f) {
-              const FrontierField& field = rel_ref[static_cast<size_t>(f)];
-              idx += static_cast<std::int64_t>(ExtractField(key, field.offset, field.bits)) *
-                     stride_ref[static_cast<size_t>(f)];
-            }
-            states.cost[static_cast<size_t>(i)] += table_ref[static_cast<size_t>(idx)];
+        for (std::int64_t i = 0; i < states.count(); ++i) {
+          const std::uint64_t* key = states.key(i);
+          std::int64_t idx = 0;
+          for (int f = 0; f < k; ++f) {
+            const FrontierField& field = rel[static_cast<size_t>(f)];
+            idx += static_cast<std::int64_t>(ExtractField(key, field.offset, field.bits)) *
+                   stride[static_cast<size_t>(f)];
           }
-        });
+          states.cost[static_cast<size_t>(i)] += (*table)[static_cast<size_t>(idx)];
+        }
         result.stats.charge_seconds += SecondsSince(t_charge);
       } else {
-        // Memoized per-state charge: one evaluation per DISTINCT reached projection,
-        // serial (the cost callback shares caller scratch).
+        // Memoized per-state charge: one evaluation per DISTINCT reached projection.
         const auto t_charge = Clock::now();
         std::unordered_map<std::string, double> memo;
         std::string sub;
@@ -1017,8 +961,8 @@ SearchEngine::Result SearchEngine::Impl::RunImpl(const GroupCostFn* table_fn,
         result.stats.charge_seconds += SecondsSince(t_charge);
       }
     } else {
-      // Streamed: the callback's own enumeration is the measured cost; keep it serial
-      // and in state-index order.
+      // Streamed: the callback's own enumeration is the measured cost, in state-index
+      // order.
       const auto t_charge = Clock::now();
       for (std::int64_t i = 0; i < states.count(); ++i) {
         const std::uint64_t* key = states.key(i);
@@ -1083,16 +1027,15 @@ SearchEngine::Result SearchEngine::Impl::RunImpl(const GroupCostFn* table_fn,
     // Repack keys into scratch; costs and recs stay in `states` (read by index below).
     const std::int64_t n = states.count();
     scratch.Resize(n);
-    pool.ParallelFor(n, [&](int, std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const std::uint64_t* in_key = states.key(i);
-        std::uint64_t* out_key = scratch.key(i);
-        for (const Repack& r : repack) {
-          WriteField(out_key, r.new_offset, r.bits, ExtractField(in_key, r.old_offset, r.bits));
-        }
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::uint64_t* in_key = states.key(i);
+      std::uint64_t* out_key = scratch.key(i);
+      for (const Repack& r : repack) {
+        WriteField(out_key, r.new_offset, r.bits,
+                   ExtractField(in_key, r.old_offset, r.bits));
       }
-    });
-    // Serial min-merge in state-index order (deterministic for any thread count).
+    }
+    // Min-merge in state-index order.
     std::int64_t cap = 1;
     while (cap < 2 * n) {
       cap <<= 1;

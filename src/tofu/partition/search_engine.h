@@ -16,11 +16,6 @@
 //     (one evaluation per combination of its touched slots' options); charging a state
 //     is a shift/mask field extraction plus one array load.
 //
-// Charging and key construction can optionally be sharded across a small thread pool
-// (SearchEngineOptions::num_threads, 0 = auto-size from hardware_concurrency). Sharding
-// is deterministic: results are assembled in state-index order, so any thread count
-// yields byte-identical plans.
-//
 // Unbudgeted table-mode searches additionally take a DENSE LATTICE fast path: without
 // budget pruning the frontier is exactly the cross product of the live slots' options,
 // so the engine drops the packed keys entirely and keeps one flat cost array whose axes
@@ -58,8 +53,8 @@ struct SearchSpace {
 };
 
 // Per-group dense cost tables of one table-mode search, shareable across searches of
-// the same space (the values depend only on the group cost function, never on budgets,
-// bandwidths, or thread counts). groups[g] is null for groups that charged through the
+// the same space (the values depend only on the group cost function, never on budgets
+// or bandwidths). groups[g] is null for groups that charged through the
 // per-state memo (or were never reached); non-null entries hold exactly the group's
 // mixed-radix cell values in the engine's canonical enumeration order. Immutable once
 // published -- safe to share across threads and cache entries.
@@ -72,11 +67,6 @@ struct SearchEngineOptions {
   // exceeded the search degrades to a beam keeping the cheapest quarter of the cap;
   // SearchStats::exact turns false.
   std::int64_t max_states = 1 << 22;
-  // Threads for state expansion (branch/charge/project sharding). 0 (the default)
-  // auto-sizes from std::thread::hardware_concurrency(); 1 = serial. Any value yields
-  // byte-identical results. Cost callbacks are never called concurrently regardless of
-  // this setting.
-  int num_threads = 0;
   // Dominated-option pruning (dense-lattice searches only): after the hoisted table
   // fills, option o of slot s is dropped when some option o' < o is pointwise no more
   // expensive in EVERY group table touching s and (when slot_option_bytes is present)

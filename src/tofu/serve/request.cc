@@ -45,11 +45,12 @@ Status ReadIntArray(const JsonValue& object, const std::string& key,
   std::vector<std::int64_t> values;
   values.reserve(array->AsArray().size());
   for (const JsonValue& element : array->AsArray()) {
-    if (element.kind() != JsonValue::Kind::kNumber) {
+    std::int64_t value = 0;
+    if (!element.GetInt(&value)) {
       return Status(StatusCode::kInvalidArgument,
-                    "field '" + key + "' must be an array of numbers");
+                    "field '" + key + "' must be an array of integers");
     }
-    values.push_back(element.AsInt());
+    values.push_back(value);
   }
   *out = std::move(values);
   return Status::Ok();
@@ -196,13 +197,12 @@ Result<ServeRequest> ParseServeRequest(const std::string& line,
                           MemoryPolicyFromName(policy->AsString()));
   }
 
-  std::int64_t workers = request.topology.num_workers;
-  TOFU_RETURN_IF_ERROR(ReadInt(doc, "workers", &workers));
-  if (workers < 1) {
+  TOFU_RETURN_IF_ERROR(ReadInt(doc, "workers", &request.topology.num_workers));
+  if (request.topology.num_workers < 1) {
     return Status(StatusCode::kInvalidArgument,
-                  "field 'workers' must be >= 1, got " + std::to_string(workers));
+                  "field 'workers' must be >= 1, got " +
+                      std::to_string(request.topology.num_workers));
   }
-  request.topology.num_workers = static_cast<int>(workers);
   TOFU_RETURN_IF_ERROR(
       ReadNumber(doc, "uniform_bandwidth", &request.topology.uniform_bandwidth));
   TOFU_RETURN_IF_ERROR(

@@ -171,29 +171,19 @@ double JsonValue::AsNumber() const {
   return number_;
 }
 
-namespace {
-
-// True when the double is an exactly-representable int64 (the cast itself is UB for
-// out-of-range values, so the range check must come first; 2^63 is representable).
-bool IsExactInt64(double n, std::int64_t* out) {
-  if (!(n >= -9223372036854775808.0 && n < 9223372036854775808.0)) {
+bool JsonValue::GetInt(std::int64_t* out) const {
+  // The cast itself is UB for out-of-range values, so the range check must come first
+  // (2^63 is representable).
+  if (kind_ != Kind::kNumber ||
+      !(number_ >= -9223372036854775808.0 && number_ < 9223372036854775808.0)) {
     return false;
   }
-  const auto i = static_cast<std::int64_t>(n);
-  if (static_cast<double>(i) != n) {
+  const auto i = static_cast<std::int64_t>(number_);
+  if (static_cast<double>(i) != number_) {
     return false;
   }
   *out = i;
   return true;
-}
-
-}  // namespace
-
-std::int64_t JsonValue::AsInt() const {
-  const double n = AsNumber();
-  std::int64_t i = 0;
-  TOFU_CHECK(IsExactInt64(n, &i)) << "JsonValue::AsInt on non-integral " << n;
-  return i;
 }
 
 const std::string& JsonValue::AsString() const {
@@ -264,11 +254,11 @@ Result<std::int64_t> JsonValue::IntAt(const std::string& key) const {
   if (v == nullptr || v->kind() != Kind::kNumber) {
     return MissingOrWrongKind(key, "number");
   }
-  const double n = v->AsNumber();
   std::int64_t i = 0;
-  if (!IsExactInt64(n, &i)) {
+  if (!v->GetInt(&i)) {
     return Status(StatusCode::kInvalidArgument,
-                  StrFormat("JSON key '%s': %g is not an int64", key.c_str(), n));
+                  StrFormat("JSON key '%s': %g is not an int64", key.c_str(),
+                            v->AsNumber()));
   }
   return i;
 }

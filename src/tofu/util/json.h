@@ -79,7 +79,8 @@ class JsonValue {
   // Kind-checked accessors; abort on kind mismatch (use the *At helpers to recover).
   bool AsBool() const;
   double AsNumber() const;
-  std::int64_t AsInt() const;  // number, checked to be integral within int64 range
+  // True (and *out set) iff this is an integral number within int64 range.
+  bool GetInt(std::int64_t* out) const;
   const std::string& AsString() const;
   const std::vector<JsonValue>& AsArray() const;
   const std::vector<std::pair<std::string, JsonValue>>& AsObject() const;

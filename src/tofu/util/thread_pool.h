@@ -2,10 +2,8 @@
 //
 // Work is always split into exactly num_threads() contiguous shards
 // ([i*n/T, (i+1)*n/T) for shard i), so any result assembled shard-by-shard in shard
-// order is independent of OS scheduling -- and identical to the single-threaded result
-// when each shard's work is order-independent within the shard. The partition search
-// engine relies on this to make `num_threads=4` produce byte-identical plans to
-// `num_threads=1`.
+// order is independent of OS scheduling. StreamServer relies on this to write one
+// response line per request in input order whatever the thread count.
 #ifndef TOFU_UTIL_THREAD_POOL_H_
 #define TOFU_UTIL_THREAD_POOL_H_
 

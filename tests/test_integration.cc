@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "tofu/core/experiment.h"
-#include "tofu/core/partitioner.h"
+#include "tofu/core/session.h"
 #include "tofu/models/mlp.h"
 #include "tofu/util/strings.h"
 
@@ -61,7 +61,7 @@ TEST_P(PipelineSweep, EndToEndInvariantsHold) {
   ModelGraph model = BuildCase(c);
   ValidateGraph(model.graph);
 
-  PartitionPlan plan = Partitioner().Partition(model.graph, c.workers);
+  PartitionPlan plan = RecursivePartition(model.graph, c.workers);
   ASSERT_EQ(plan.num_workers, c.workers);
 
   const ClusterSpec cluster = K80Cluster();
@@ -110,12 +110,17 @@ INSTANTIATE_TEST_SUITE_P(Models, PipelineSweep, ::testing::ValuesIn(Sweep()),
 TEST(Integration, AllAlgorithmsSurviveAllFamilies) {
   for (int family = 0; family < 3; ++family) {
     ModelGraph model = BuildCase({"x", family, 8});
-    Partitioner partitioner;
+    Session session(DeviceTopology::Uniform(8));
     for (PartitionAlgorithm algorithm :
          {PartitionAlgorithm::kTofu, PartitionAlgorithm::kIcml18,
           PartitionAlgorithm::kEqualChop, PartitionAlgorithm::kSpartan,
           PartitionAlgorithm::kAllRowGreedy}) {
-      PartitionPlan plan = partitioner.Partition(model.graph, 8, algorithm);
+      PartitionRequest request;
+      request.graph = &model.graph;
+      request.algorithm = algorithm;
+      Result<PartitionResponse> response = session.Partition(request);
+      ASSERT_TRUE(response.ok()) << AlgorithmName(algorithm);
+      const PartitionPlan& plan = response->plan;
       EXPECT_GE(plan.total_comm_bytes, 0.0) << AlgorithmName(algorithm);
       ThroughputResult r = RunPlanThroughput(model, plan, K80Cluster());
       EXPECT_GT(r.iter_seconds, 0.0) << AlgorithmName(algorithm);

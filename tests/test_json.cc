@@ -17,9 +17,15 @@ TEST(JsonParser, Scalars) {
   EXPECT_FALSE(ParseJson("false")->AsBool());
   EXPECT_DOUBLE_EQ(ParseJson("3.5")->AsNumber(), 3.5);
   EXPECT_DOUBLE_EQ(ParseJson("-0.25e2")->AsNumber(), -25.0);
-  EXPECT_EQ(ParseJson("12")->AsInt(), 12);
   EXPECT_EQ(ParseJson("\"hi\"")->AsString(), "hi");
-  EXPECT_EQ(ParseJson("  42  ")->AsInt(), 42);
+  std::int64_t i = 0;
+  EXPECT_TRUE(ParseJson("  42  ")->GetInt(&i));
+  EXPECT_EQ(i, 42);
+  // Non-integral, out-of-range and non-number values are refused, not aborted on.
+  EXPECT_FALSE(ParseJson("2.5")->GetInt(&i));
+  EXPECT_FALSE(ParseJson("1e19")->GetInt(&i));
+  EXPECT_FALSE(ParseJson("\"12\"")->GetInt(&i));
+  EXPECT_EQ(i, 42);
 }
 
 TEST(JsonParser, StringEscapes) {
@@ -37,7 +43,9 @@ TEST(JsonParser, NestedContainers) {
   const JsonValue* a = doc->Find("a");
   ASSERT_NE(a, nullptr);
   ASSERT_EQ(a->AsArray().size(), 3u);
-  EXPECT_EQ(a->AsArray()[0].AsInt(), 1);
+  std::int64_t first = 0;
+  EXPECT_TRUE(a->AsArray()[0].GetInt(&first));
+  EXPECT_EQ(first, 1);
   EXPECT_TRUE(a->AsArray()[2].Find("b")->AsBool());
   EXPECT_TRUE(doc->ObjectAt("c").value()->Find("d")->is_null());
 }

@@ -1,39 +1,31 @@
-// Facade and reporting tests: the public Partitioner API and the Figure-11-style
-// tiling reports.
+// Default-search and reporting tests: a whole recursive partition with default options
+// and the Figure-11-style tiling reports.
 #include <gtest/gtest.h>
 
-#include "tofu/core/partitioner.h"
 #include "tofu/core/report.h"
 #include "tofu/models/mlp.h"
 #include "tofu/models/wresnet.h"
+#include "tofu/partition/recursive.h"
 
 namespace tofu {
 namespace {
 
-TEST(Partitioner, DefaultOptionsPartitionMlp) {
+TEST(RecursivePartition, DefaultOptionsPartitionMlp) {
   MlpConfig config;
   config.layer_sizes = {512, 512, 128};
   config.batch = 64;
   ModelGraph model = BuildMlp(config);
-  Partitioner partitioner;
-  PartitionPlan plan = partitioner.Partition(model.graph, 8);
+  PartitionPlan plan = RecursivePartition(model.graph, 8);
   EXPECT_EQ(plan.num_workers, 8);
   EXPECT_EQ(plan.steps.size(), 3u);
   EXPECT_GE(plan.total_comm_bytes, 0.0);
-}
-
-TEST(Partitioner, OptionsArePlumbedThrough) {
-  PartitionOptions options;
-  options.dp.allow_reduction_strategies = false;
-  Partitioner partitioner(options);
-  EXPECT_FALSE(partitioner.options().dp.allow_reduction_strategies);
 }
 
 TEST(Report, PlanSummaryListsSteps) {
   MlpConfig config;
   config.layer_sizes = {256, 256, 64};
   ModelGraph model = BuildMlp(config);
-  PartitionPlan plan = Partitioner().Partition(model.graph, 4);
+  PartitionPlan plan = RecursivePartition(model.graph, 4);
   std::string summary = PlanSummary(model.graph, plan);
   EXPECT_NE(summary.find("plan for 4 workers"), std::string::npos);
   EXPECT_NE(summary.find("step 0"), std::string::npos);
@@ -46,7 +38,7 @@ TEST(Report, TilingReportCollapsesRepeatedBlocks) {
   config.width = 4;
   config.batch = 8;
   ModelGraph model = BuildWResNet(config);
-  PartitionPlan plan = Partitioner().Partition(model.graph, 8);
+  PartitionPlan plan = RecursivePartition(model.graph, 8);
   std::string report = TilingReport(model.graph, plan);
   EXPECT_NE(report.find("conv2d"), std::string::npos);
   EXPECT_NE(report.find("weight"), std::string::npos);
@@ -70,7 +62,7 @@ TEST(Report, DescribeTilingShowsMultiDimSplits) {
   config.batch = 64;
   config.with_bias = false;
   ModelGraph model = BuildMlp(config);
-  PartitionPlan plan = Partitioner().Partition(model.graph, 8);
+  PartitionPlan plan = RecursivePartition(model.graph, 8);
   bool any_described = false;
   for (const TensorNode& t : model.graph.tensors()) {
     std::string desc = plan.DescribeTiling(model.graph, t.id);

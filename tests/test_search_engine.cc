@@ -1,14 +1,14 @@
 // Search-engine tests: golden cost equivalence against the pre-refactor string-keyed
-// DP (recorded values), byte-identical plans across thread counts, beam degradation,
-// SearchStats plumbing, direct engine unit cases, and the plan-invariance contracts of
-// dominated-option pruning and cost-table reuse (pinned plan digests).
+// DP (recorded values), beam degradation, SearchStats plumbing, direct engine unit
+// cases, and the plan-invariance contracts of dominated-option pruning and cost-table
+// reuse (pinned plan digests).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "tofu/core/partitioner.h"
 #include "tofu/core/report.h"
+#include "tofu/core/session.h"
 #include "tofu/models/mlp.h"
 #include "tofu/models/rnn.h"
 #include "tofu/models/transformer.h"
@@ -18,6 +18,17 @@
 
 namespace tofu {
 namespace {
+
+PartitionPlan PlanFor(const Graph& graph, int workers,
+                      PartitionAlgorithm algorithm = PartitionAlgorithm::kTofu) {
+  Session session(DeviceTopology::Uniform(workers));
+  PartitionRequest request;
+  request.graph = &graph;
+  request.algorithm = algorithm;
+  Result<PartitionResponse> response = session.Partition(request);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? response->plan : PartitionPlan{};
+}
 
 ModelGraph GoldenMlp() {
   MlpConfig c;
@@ -116,7 +127,6 @@ const GoldenRow kGolden[] = {
 TEST(SearchEngineGolden, MatchesRecordedCosts) {
   ModelGraph models[] = {GoldenMlp(), GoldenRnn(), GoldenWResNet(), GoldenTransformer()};
   const char* names[] = {"mlp", "rnn", "wresnet", "transformer"};
-  Partitioner partitioner;
   for (const GoldenRow& row : kGolden) {
     const ModelGraph* model = nullptr;
     for (size_t i = 0; i < 4; ++i) {
@@ -125,7 +135,7 @@ TEST(SearchEngineGolden, MatchesRecordedCosts) {
       }
     }
     ASSERT_NE(model, nullptr);
-    PartitionPlan plan = partitioner.Partition(model->graph, row.workers, row.algo);
+    PartitionPlan plan = PlanFor(model->graph, row.workers, row.algo);
     EXPECT_DOUBLE_EQ(plan.total_comm_bytes, row.engine)
         << row.model << " x" << row.workers << " " << AlgorithmName(row.algo);
     // Never worse than the pre-refactor engine (equal-cost ties may resolve cheaper).
@@ -134,33 +144,9 @@ TEST(SearchEngineGolden, MatchesRecordedCosts) {
   }
 }
 
-TEST(SearchEngineThreads, FourThreadsYieldByteIdenticalPlans) {
-  ModelGraph models[] = {GoldenMlp(), GoldenRnn(), GoldenTransformer()};
-  for (const ModelGraph& model : models) {
-    PartitionOptions serial;
-    serial.dp.num_threads = 1;
-    PartitionOptions threaded;
-    threaded.dp.num_threads = 4;
-    PartitionPlan a = RecursivePartition(model.graph, 8, serial);
-    PartitionPlan b = RecursivePartition(model.graph, 8, threaded);
-    ASSERT_EQ(a.steps.size(), b.steps.size());
-    for (size_t i = 0; i < a.steps.size(); ++i) {
-      EXPECT_EQ(a.steps[i].tensor_cut, b.steps[i].tensor_cut) << "step " << i;
-      EXPECT_EQ(a.steps[i].op_strategy, b.steps[i].op_strategy) << "step " << i;
-      EXPECT_DOUBLE_EQ(a.steps[i].comm_bytes, b.steps[i].comm_bytes) << "step " << i;
-    }
-    EXPECT_DOUBLE_EQ(a.total_comm_bytes, b.total_comm_bytes);
-    // Search effort is also identical: threading shards work, it does not change it.
-    EXPECT_EQ(a.search_stats.states_explored, b.search_stats.states_explored);
-    EXPECT_EQ(a.search_stats.max_frontier_states, b.search_stats.max_frontier_states);
-    EXPECT_EQ(a.search_stats.cost_table_entries, b.search_stats.cost_table_entries);
-  }
-}
-
 TEST(SearchEngineStats, SurfacedThroughPlanAndReport) {
   ModelGraph model = GoldenMlp();
-  Partitioner partitioner;
-  PartitionPlan plan = partitioner.Partition(model.graph, 8);
+  PartitionPlan plan = PlanFor(model.graph, 8);
   EXPECT_GT(plan.search_stats.states_explored, 0);
   EXPECT_GT(plan.search_stats.max_frontier_states, 0);
   EXPECT_GT(plan.search_stats.cost_table_entries, 0);
@@ -170,8 +156,7 @@ TEST(SearchEngineStats, SurfacedThroughPlanAndReport) {
   EXPECT_NE(summary.find("search:"), std::string::npos);
 
   // Greedy baselines run no DP: their stats stay zeroed.
-  PartitionPlan greedy =
-      partitioner.Partition(model.graph, 8, PartitionAlgorithm::kDataParallel);
+  PartitionPlan greedy = PlanFor(model.graph, 8, PartitionAlgorithm::kDataParallel);
   EXPECT_EQ(greedy.search_stats.states_explored, 0);
 }
 
@@ -379,25 +364,6 @@ TEST(SearchEngineUnit, UntouchedSlotBytesChargeAgainstTheBudget) {
   EXPECT_DOUBLE_EQ(res.min_possible_bytes, 95.0);
 }
 
-TEST(SearchEngineThreads, BudgetedSearchIsThreadCountInvariant) {
-  ModelGraph model = GoldenMlp();
-  PartitionOptions serial;
-  serial.memory_budget_bytes = 3ll << 20;  // tight for this MLP: the pruning engages
-  serial.dp.num_threads = 1;
-  PartitionOptions threaded = serial;
-  threaded.dp.num_threads = 4;
-  PartitionPlan a = RecursivePartition(model.graph, 8, serial);
-  PartitionPlan b = RecursivePartition(model.graph, 8, threaded);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_EQ(a.steps[i].tensor_cut, b.steps[i].tensor_cut) << "step " << i;
-    EXPECT_EQ(a.steps[i].op_strategy, b.steps[i].op_strategy) << "step " << i;
-    EXPECT_DOUBLE_EQ(a.steps[i].peak_shard_bytes, b.steps[i].peak_shard_bytes);
-  }
-  EXPECT_DOUBLE_EQ(a.total_comm_bytes, b.total_comm_bytes);
-  EXPECT_EQ(a.search_stats.memory_pruned_states, b.search_stats.memory_pruned_states);
-}
-
 // ------------------------------------------------- dominated-option pruning
 // The pruning contract (SearchEngineOptions::prune_dominated, docs/search.md): plans,
 // costs, and every serialized SearchStats counter are invariant; only the diagnostic
@@ -415,20 +381,16 @@ TEST(SearchEngineDominance, PruningNeverChangesThePlanGoldens) {
   ModelGraph model = GoldenWResNet();
   for (const Row& row : kRows) {
     for (bool prune : {true, false}) {
-      for (int threads : {1, 4}) {
-        PartitionOptions options;
-        options.dp.prune_dominated = prune;
-        options.dp.num_threads = threads;
-        PartitionPlan plan = RecursivePartition(model.graph, row.workers, options);
-        EXPECT_EQ(PlanDigest(plan), row.digest)
-            << "workers=" << row.workers << " prune=" << prune
-            << " threads=" << threads;
-        if (prune) {
-          EXPECT_GT(plan.search_stats.dominated_pruned_states, 0)
-              << "workers=" << row.workers;
-        } else {
-          EXPECT_EQ(plan.search_stats.dominated_pruned_states, 0);
-        }
+      PartitionOptions options;
+      options.dp.prune_dominated = prune;
+      PartitionPlan plan = RecursivePartition(model.graph, row.workers, options);
+      EXPECT_EQ(PlanDigest(plan), row.digest)
+          << "workers=" << row.workers << " prune=" << prune;
+      if (prune) {
+        EXPECT_GT(plan.search_stats.dominated_pruned_states, 0)
+            << "workers=" << row.workers;
+      } else {
+        EXPECT_EQ(plan.search_stats.dominated_pruned_states, 0);
       }
     }
   }

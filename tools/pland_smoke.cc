@@ -3,15 +3,16 @@
 //   pland_smoke <path-to-tofu-pland>
 //
 // Pipes a small mixed batch (a duplicated MLP request, a tiny RNN, an unknown model,
-// a malformed line, and a budget-constrained Hybrid request) through the daemon, then
+// a malformed line, a budget-constrained Hybrid request, a worker count beyond int
+// range, a non-integral layer width, and one more valid MLP) through the daemon, then
 // checks the stream contract: one response line per request, every line parses as
 // schema tofu.serve.v1, each ok response's embedded plan replays through
 // ValidatePlanForGraph against a freshly built graph, the duplicate is served without
 // a second search (from_cache or coalesced), the hybrid response carries a real
 // multi-stage tofu.plan.v3 pipeline, and the bad requests come back as recoverable
-// errors, not a dead process. A second daemon run under --algo=Hybrid checks the
-// default-algorithm flag routes requests that omit "algorithm". Exits non-zero with a
-// message on the first violation.
+// errors, not a dead process: the valid line after them is still served. A second
+// daemon run under --algo=Hybrid checks the default-algorithm flag routes requests
+// that omit "algorithm". Exits non-zero with a message on the first violation.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -74,10 +75,21 @@ int main(int argc, char** argv) {
       "{\"id\":6,\"model\":\"mlp\",\"workers\":32,\"algorithm\":\"Hybrid\","
       "\"memory_budget_bytes\":150,"
       "\"config\":{\"batch\":8,\"layer_sizes\":[4,4,4,4,4,4,4,4]}}";
+  // 2^32 + 8: must be rejected, not truncated to 8 workers.
+  const std::string huge_workers_line =
+      "{\"id\":7,\"model\":\"mlp\",\"workers\":4294967304}";
+  // A non-integral array element must come back as an error, not abort the daemon.
+  const std::string fractional_width_line =
+      "{\"id\":8,\"model\":\"mlp\",\"workers\":8,"
+      "\"config\":{\"layer_sizes\":[784,2.5,10]}}";
+  const std::string after_bad_line =
+      "{\"id\":9,\"model\":\"mlp\",\"workers\":2,"
+      "\"config\":{\"batch\":16,\"layer_sizes\":[64,32,10]}}";
 
   const std::string requests = mlp_line + "\n" + mlp_dup_line + "\n" + rnn_line +
                                "\n" + bad_model_line + "\n" + malformed_line + "\n" +
-                               hybrid_line + "\n";
+                               hybrid_line + "\n" + huge_workers_line + "\n" +
+                               fractional_width_line + "\n" + after_bad_line + "\n";
   Check(tofu::WriteTextFile("pland_smoke_requests.jsonl", requests),
         "cannot write request file");
 
@@ -94,8 +106,8 @@ int main(int argc, char** argv) {
       tofu::ReadTextFile("pland_smoke_responses.jsonl");
   Check(responses.ok(), "cannot read response file");
   const std::vector<std::string> lines = SplitLines(*responses);
-  Check(lines.size() == 6,
-        "expected 6 response lines, got " + std::to_string(lines.size()));
+  Check(lines.size() == 9,
+        "expected 9 response lines, got " + std::to_string(lines.size()));
 
   int cached_or_coalesced = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
@@ -110,7 +122,7 @@ int main(int argc, char** argv) {
     tofu::Result<std::int64_t> id = doc->IntAt("id");
     Check(id.ok(), "response line " + std::to_string(i) + " lacks 'id'");
 
-    if (*id == 1 || *id == 2 || *id == 3) {
+    if (*id == 1 || *id == 2 || *id == 3 || *id == 9) {
       // Valid requests: response order matches input order and the embedded plan
       // replays against a freshly built graph of the same spec.
       Check(*ok_field, "request id " + std::to_string(*id) + " unexpectedly failed: " +
@@ -125,7 +137,8 @@ int main(int argc, char** argv) {
                            plan.status().ToString());
 
       const std::string& request_line =
-          *id == 1 ? mlp_line : (*id == 2 ? mlp_dup_line : rnn_line);
+          *id == 1 ? mlp_line
+                   : (*id == 2 ? mlp_dup_line : (*id == 3 ? rnn_line : after_bad_line));
       tofu::Result<tofu::ServeRequest> request =
           tofu::ParseServeRequest(request_line);
       Check(request.ok(), "request line stopped parsing");
@@ -174,7 +187,19 @@ int main(int argc, char** argv) {
       Check(code.ok() && *code == "INVALID_ARGUMENT",
             "unknown model should be INVALID_ARGUMENT, got line: " + lines[i]);
     } else if (*id == -1) {
-      Check(!*ok_field, "malformed line unexpectedly succeeded");
+      // Lines that fail to parse carry no id; responses keep input order, so the
+      // position says which request this is.
+      Check(!*ok_field,
+            "unparseable line " + std::to_string(i) + " unexpectedly succeeded");
+      const char* field = i == 6 ? "'workers'" : (i == 7 ? "'layer_sizes'" : nullptr);
+      if (field != nullptr) {
+        tofu::Result<std::string> code = doc->StringAt("code");
+        tofu::Result<std::string> error = doc->StringAt("error");
+        Check(code.ok() && *code == "INVALID_ARGUMENT" && error.ok() &&
+                  error->find(field) != std::string::npos,
+              std::string("bad ") + field + " should be INVALID_ARGUMENT, got line: " +
+                  lines[i]);
+      }
     } else {
       Fail("unexpected response id " + std::to_string(*id));
     }
@@ -214,6 +239,6 @@ int main(int argc, char** argv) {
             tofu::JsonToString(*algo_plan).find("tofu.plan.v3") != std::string::npos,
         "--algo=Hybrid response does not carry a v3 pipeline plan");
 
-  std::printf("pland_smoke: OK (7 responses validated)\n");
+  std::printf("pland_smoke: OK (10 responses validated)\n");
   return 0;
 }

@@ -23,8 +23,6 @@ constexpr const char* kUsage = R"(usage: tofu-pland [flags] < requests.jsonl > r
 
 Flags:
   --threads=N         worker threads per batch (default 4)
-  --search-threads=N  threads per partition search (default 0 = auto; plans are
-                      byte-identical for any value)
   --batch=N           max requests dispatched per round (default 64)
   --cache-capacity=N  cached plans per topology session (default 256)
   --cache-shards=N    lock shards per plan cache (default 8)
@@ -79,9 +77,6 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (ConsumeValue(arg, "--threads", &value)) {
       options.threads = static_cast<int>(ParseLong("--threads", value));
-    } else if (ConsumeValue(arg, "--search-threads", &value)) {
-      options.service.search_threads =
-          static_cast<int>(ParseLong("--search-threads", value));
     } else if (ConsumeValue(arg, "--batch", &value)) {
       options.batch_size = static_cast<size_t>(ParseLong("--batch", value));
     } else if (ConsumeValue(arg, "--cache-capacity", &value)) {
