@@ -1,9 +1,10 @@
 // Engineering micro-benchmarks (google-benchmark): the hot paths of the partitioner --
-// TDL strategy discovery, coarsening, one DP step, full recursive search, lowering and
-// event simulation.
+// TDL strategy discovery, coarsening, one DP step, full recursive search, the memory
+// repair pass, lowering and event simulation.
 #include <benchmark/benchmark.h>
 
 #include "tofu/core/experiment.h"
+#include "tofu/memory/repair.h"
 #include "tofu/models/mlp.h"
 #include "tofu/partition/dp.h"
 #include "tofu/tdl/registry.h"
@@ -148,6 +149,31 @@ void BM_RecursivePartitionWResNet50(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RecursivePartitionWResNet50)->Unit(benchmark::kMillisecond);
+
+// The memory repair pass alone on RNN-4 (hidden 2048, 10 timesteps) @8: liveness,
+// candidate pricing, and the prefix marking. Arg 0 budgets halfway between the
+// all-offloaded floor and the liveness peak; arg 1 budgets exactly the floor, so
+// nearly every candidate is marked. Reports how many buffers the schedule offloads.
+void BM_BuildRepairSchedule(benchmark::State& state) {
+  RnnConfig config;
+  config.layers = 4;
+  config.hidden = 2048;
+  config.timesteps = 10;
+  ModelGraph model = BuildRnn(config);
+  const PartitionPlan plan = RecursivePartition(model.graph, 8);
+  const std::int64_t peak = LivenessPeakShardBytes(model.graph, plan);
+  const std::int64_t floor = MinAchievablePeakBytes(model.graph, plan);
+  const std::int64_t budget = state.range(0) == 0 ? floor + (peak - floor) / 2 : floor;
+  size_t decisions = 0;
+  for (auto _ : state) {
+    RepairResult repair = BuildRepairSchedule(model.graph, plan, budget,
+                                              MemoryPolicy::kAuto, MemoryPricing{});
+    decisions = repair.schedule->decisions.size();
+    benchmark::DoNotOptimize(repair.min_achievable_peak_bytes);
+  }
+  state.counters["decisions"] = benchmark::Counter(static_cast<double>(decisions));
+}
+BENCHMARK(BM_BuildRepairSchedule)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_LowerAndSimulate(benchmark::State& state) {
   ModelGraph model = BenchMlp();

@@ -57,44 +57,6 @@ std::int64_t AllResidentShardBytes(const Graph& graph, const PartitionPlan& plan
   return total;
 }
 
-std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan) {
-  const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
-  const int num_tensors = graph.num_tensors();
-  const int num_ops = live.num_ops;
-
-  std::vector<std::vector<TensorId>> alloc_list(static_cast<size_t>(num_ops));
-  std::vector<std::vector<TensorId>> free_list(static_cast<size_t>(num_ops));
-  std::int64_t resident = 0;
-  for (TensorId b = 0; b < num_tensors; ++b) {
-    if (!live.IsRoot(b)) {
-      continue;  // alias, accounted under its root
-    }
-    if (live.IsModelState(b)) {
-      resident += live.buf_bytes[static_cast<size_t>(b)];  // model state: never freed
-      continue;
-    }
-    alloc_list[static_cast<size_t>(live.alloc_at[static_cast<size_t>(b)])].push_back(b);
-    if (live.free_at[static_cast<size_t>(b)] < num_ops) {
-      free_list[static_cast<size_t>(live.free_at[static_cast<size_t>(b)])].push_back(b);
-    }
-  }
-
-  // Program-order sweep: a buffer is charged while its producer runs (outputs coexist
-  // with still-live inputs) and credited after its last consumer completes.
-  std::int64_t current = resident;
-  std::int64_t peak = current;
-  for (OpId k = 0; k < num_ops; ++k) {
-    for (TensorId b : alloc_list[static_cast<size_t>(k)]) {
-      current += live.buf_bytes[static_cast<size_t>(b)];
-    }
-    peak = std::max(peak, current);
-    for (TensorId b : free_list[static_cast<size_t>(k)]) {
-      current -= live.buf_bytes[static_cast<size_t>(b)];
-    }
-  }
-  return peak;
-}
-
 const MemoryModel& DefaultMemoryModel() {
   static const LivenessMemoryModel model;
   return model;

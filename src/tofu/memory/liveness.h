@@ -51,7 +51,7 @@ std::int64_t AllResidentShardBytes(const Graph& graph, const PartitionPlan& plan
 
 // Liveness-aware per-worker peak for a program-order schedule with everything
 // resident. Always <= AllResidentShardBytes; this is what the session's budget check
-// and feasibility verdict use.
+// and feasibility verdict use. Defined in schedule.cc on the shared PeakProfile.
 std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan);
 
 // The interface the planner layers program against. The default model is the liveness

@@ -119,7 +119,8 @@ RepairResult BuildRepairSchedule(const Graph& graph, const PartitionPlan& plan,
     return result;
   }
   const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
-  const std::int64_t baseline_peak = LivenessPeakShardBytes(graph, plan);
+  PeakProfile profile(graph, live);
+  const std::int64_t baseline_peak = profile.Peak();
   const double host_bw = pricing.HostBandwidth();
   const int num_tensors = graph.num_tensors();
 
@@ -176,27 +177,17 @@ RepairResult BuildRepairSchedule(const Graph& graph, const PartitionPlan& plan,
               return a.root < b.root;
             });
 
-  std::vector<Candidate> marked;
-  marked.reserve(candidates.size());
-  MemorySchedule schedule =
-      BuildSchedule(marked, budget_bytes, baseline_peak, host_bw);
+  // Mark the shortest prefix that fits (none when plain liveness already fits; an
+  // empty schedule documents that). Peaks only fall along the prefix.
+  size_t marked = 0;
   std::int64_t peak = baseline_peak;
-  if (peak <= budget_bytes) {
-    // Already fits under plain liveness; an empty schedule documents that.
-    schedule.scheduled_peak_bytes = peak;
-    result.feasible = true;
-    result.schedule = std::make_shared<const MemorySchedule>(std::move(schedule));
-    result.min_achievable_peak_bytes = peak;
-    return result;
+  while (peak > budget_bytes && marked < candidates.size()) {
+    profile.Offload(candidates[marked++].root);
+    peak = profile.Peak();
   }
-  for (const Candidate& c : candidates) {
-    marked.push_back(c);
-    schedule = BuildSchedule(marked, budget_bytes, baseline_peak, host_bw);
-    peak = ScheduledPeakShardBytes(graph, plan, schedule);
-    if (peak <= budget_bytes) {
-      break;
-    }
-  }
+  candidates.resize(marked);
+  MemorySchedule schedule =
+      BuildSchedule(candidates, budget_bytes, baseline_peak, host_bw);
   schedule.scheduled_peak_bytes = peak;
   result.feasible = peak <= budget_bytes;
   result.min_achievable_peak_bytes = peak;
@@ -206,16 +197,11 @@ RepairResult BuildRepairSchedule(const Graph& graph, const PartitionPlan& plan,
 
 std::int64_t MinAchievablePeakBytes(const Graph& graph, const PartitionPlan& plan) {
   const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
-  MemorySchedule all_out;
+  PeakProfile profile(graph, live);
   for (TensorId b = 0; b < graph.num_tensors(); ++b) {
-    if (live.IsRoot(b) && live.buf_bytes[static_cast<size_t>(b)] > 0) {
-      MemoryDecision d;
-      d.tensor = b;
-      d.residency = Residency::kSwap;
-      all_out.decisions.push_back(d);
-    }
+    profile.Offload(b);
   }
-  return ScheduledPeakShardBytes(graph, plan, all_out);
+  return profile.Peak();
 }
 
 }  // namespace tofu

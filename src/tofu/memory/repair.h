@@ -16,10 +16,11 @@
 //              cannot reconstruct.
 //
 // The pass marks candidates greedily by overhead-per-byte-released (deterministic
-// tie-breaks: cheaper total, then lower tensor id) until ScheduledPeakShardBytes meets
-// the budget. The fixed candidate order makes the schedule a prefix of one sorted
-// list, so tighter budgets mark supersets: overhead is monotone along a budget ladder,
-// which check_perf.py's frontier gate asserts.
+// tie-breaks: cheaper total, then lower tensor id) until the scheduled peak meets the
+// budget; one PeakProfile (memory/schedule.h) is updated in place per mark. The fixed
+// candidate order makes the schedule a prefix of one sorted list, so tighter budgets
+// mark supersets: overhead is monotone along a budget ladder, which check_perf.py's
+// frontier gate asserts.
 #ifndef TOFU_MEMORY_REPAIR_H_
 #define TOFU_MEMORY_REPAIR_H_
 

@@ -16,82 +16,97 @@ const char* ResidencyName(Residency residency) {
   return "?";
 }
 
+PeakProfile::PeakProfile(const Graph& graph, const LivenessAnalysis& live)
+    : graph_(graph), live_(live) {
+  const int num_tensors = static_cast<int>(live.buffer.size());
+  const int num_ops = live.num_ops;
+  next_alias_.assign(static_cast<size_t>(num_tensors), -1);
+  std::vector<TensorId> last_alias(static_cast<size_t>(num_tensors), -1);
+  // A buffer is charged from its producer (outputs coexist with still-live inputs)
+  // through its last consumer: a difference array, prefix-summed below.
+  charge_.assign(static_cast<size_t>(num_ops) + 1, 0);
+  for (TensorId t = 0; t < num_tensors; ++t) {
+    const TensorId b = live.buffer[static_cast<size_t>(t)];
+    // A root precedes its aliases (an in-place output is created after its input).
+    if (t != b) {
+      next_alias_[static_cast<size_t>(last_alias[static_cast<size_t>(b)])] = t;
+      last_alias[static_cast<size_t>(b)] = t;
+      continue;
+    }
+    last_alias[static_cast<size_t>(b)] = b;
+    const std::int64_t bytes = live.buf_bytes[static_cast<size_t>(b)];
+    if (live.IsModelState(b)) {
+      base_ += bytes;
+      continue;
+    }
+    charge_[static_cast<size_t>(live.alloc_at[static_cast<size_t>(b)])] += bytes;
+    charge_[static_cast<size_t>(
+                std::min(live.free_at[static_cast<size_t>(b)], num_ops - 1)) +
+            1] -= bytes;
+  }
+  for (int k = 1; k < num_ops; ++k) {
+    charge_[static_cast<size_t>(k)] += charge_[static_cast<size_t>(k) - 1];
+  }
+  charge_.pop_back();
+  offloaded_.assign(static_cast<size_t>(num_tensors), false);
+  touched_by_.assign(static_cast<size_t>(num_ops), -1);
+}
+
+void PeakProfile::Offload(TensorId root) {
+  if (root < 0 || root >= static_cast<TensorId>(offloaded_.size()) ||
+      !live_.IsRoot(root) || offloaded_[static_cast<size_t>(root)]) {
+    return;
+  }
+  offloaded_[static_cast<size_t>(root)] = true;
+  const int num_ops = live_.num_ops;
+  const std::int64_t bytes = live_.buf_bytes[static_cast<size_t>(root)];
+  const int alloc = live_.alloc_at[static_cast<size_t>(root)];
+  if (live_.IsModelState(root)) {
+    base_ -= bytes;
+  } else {
+    const int last = std::min(live_.free_at[static_cast<size_t>(root)], num_ops - 1);
+    for (int k = alloc; k <= last; ++k) {
+      charge_[static_cast<size_t>(k)] -= bytes;
+    }
+  }
+  // Between touches the buffer lives on the host (kSwap) or not at all (kRecompute).
+  auto touch = [&](int k) {
+    if (k >= 0 && k < num_ops && touched_by_[static_cast<size_t>(k)] != root) {
+      touched_by_[static_cast<size_t>(k)] = root;
+      charge_[static_cast<size_t>(k)] += bytes;
+    }
+  };
+  touch(alloc);
+  for (TensorId t = root; t >= 0; t = next_alias_[static_cast<size_t>(t)]) {
+    for (OpId c : graph_.tensor(t).consumers) {
+      touch(c);
+    }
+  }
+}
+
+std::int64_t PeakProfile::Peak() const {
+  std::int64_t peak = base_;
+  for (std::int64_t c : charge_) {
+    peak = std::max(peak, base_ + c);
+  }
+  return peak;
+}
+
+std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan) {
+  const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
+  return PeakProfile(graph, live).Peak();
+}
+
 std::int64_t ScheduledPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
                                      const MemorySchedule& schedule) {
   const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
-  const int num_tensors = graph.num_tensors();
-  const int num_ops = live.num_ops;
-
-  std::vector<bool> offloaded(static_cast<size_t>(num_tensors), false);
+  PeakProfile profile(graph, live);
   for (const MemoryDecision& d : schedule.decisions) {
-    if (d.residency != Residency::kResident && d.tensor >= 0 &&
-        d.tensor < num_tensors) {
-      offloaded[static_cast<size_t>(d.tensor)] = true;
+    if (d.residency != Residency::kResident) {
+      profile.Offload(d.tensor);
     }
   }
-
-  // Resident buffers keep their liveness intervals; offloaded buffers are charged
-  // transiently at each op that touches the buffer (its allocating producer and every
-  // consumer of any alias in the chain), since between touches they live on the host
-  // (kSwap) or not at all (kRecompute).
-  std::vector<std::vector<TensorId>> alloc_list(static_cast<size_t>(num_ops));
-  std::vector<std::vector<TensorId>> free_list(static_cast<size_t>(num_ops));
-  std::vector<std::int64_t> transient(static_cast<size_t>(num_ops), 0);
-  std::int64_t resident = 0;
-  for (TensorId b = 0; b < num_tensors; ++b) {
-    if (!live.IsRoot(b)) {
-      continue;
-    }
-    const std::int64_t bytes = live.buf_bytes[static_cast<size_t>(b)];
-    if (!offloaded[static_cast<size_t>(b)]) {
-      if (live.IsModelState(b)) {
-        resident += bytes;
-        continue;
-      }
-      alloc_list[static_cast<size_t>(live.alloc_at[static_cast<size_t>(b)])]
-          .push_back(b);
-      if (live.free_at[static_cast<size_t>(b)] < num_ops) {
-        free_list[static_cast<size_t>(live.free_at[static_cast<size_t>(b)])]
-            .push_back(b);
-      }
-      continue;
-    }
-    // Offloaded: materialized only at touching ops. Collect the touch set across the
-    // alias chain once per root (dedup via a charged-at marker per op).
-    std::vector<bool> charged(static_cast<size_t>(num_ops), false);
-    const int alloc = live.alloc_at[static_cast<size_t>(b)];
-    if (alloc >= 0 && alloc < num_ops) {
-      charged[static_cast<size_t>(alloc)] = true;
-    }
-    for (TensorId t = 0; t < num_tensors; ++t) {
-      if (live.buffer[static_cast<size_t>(t)] != b) {
-        continue;
-      }
-      for (OpId c : graph.tensor(t).consumers) {
-        if (c >= 0 && c < num_ops) {
-          charged[static_cast<size_t>(c)] = true;
-        }
-      }
-    }
-    for (OpId k = 0; k < num_ops; ++k) {
-      if (charged[static_cast<size_t>(k)]) {
-        transient[static_cast<size_t>(k)] += bytes;
-      }
-    }
-  }
-
-  std::int64_t current = resident;
-  std::int64_t peak = current;
-  for (OpId k = 0; k < num_ops; ++k) {
-    for (TensorId b : alloc_list[static_cast<size_t>(k)]) {
-      current += live.buf_bytes[static_cast<size_t>(b)];
-    }
-    peak = std::max(peak, current + transient[static_cast<size_t>(k)]);
-    for (TensorId b : free_list[static_cast<size_t>(k)]) {
-      current -= live.buf_bytes[static_cast<size_t>(b)];
-    }
-  }
-  return peak;
+  return profile.Peak();
 }
 
 namespace {

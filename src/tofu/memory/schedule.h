@@ -77,11 +77,40 @@ struct MemorySchedule {
   }
 };
 
+// Per-op resident bytes of one plan: the one peak model behind LivenessPeakShardBytes,
+// ScheduledPeakShardBytes, MinAchievablePeakBytes and the repair pass. Built once from
+// a LivenessAnalysis; Offload then updates it in place in O(lifetime + touches), so
+// marking buffers one at a time never re-runs liveness. Integer sums make the peak
+// independent of the order of offloads.
+class PeakProfile {
+ public:
+  // `graph` and `live` must outlive the profile.
+  PeakProfile(const Graph& graph, const LivenessAnalysis& live);
+  PeakProfile(const Graph& graph, LivenessAnalysis&& live) = delete;
+
+  // Charges buffer `root` only at the ops that touch it (its producer and each
+  // consumer of any alias) instead of over its lifetime, or instead of all iteration
+  // for model state. Idempotent; ignores ids that are not buffer roots.
+  void Offload(TensorId root);
+
+  std::int64_t Peak() const;
+
+ private:
+  const Graph& graph_;
+  const LivenessAnalysis& live_;
+  std::int64_t base_ = 0;              // resident model state
+  std::vector<std::int64_t> charge_;   // per op: every other buffer live there
+  std::vector<TensorId> next_alias_;   // next member of t's alias chain, or -1
+  std::vector<bool> offloaded_;
+  std::vector<TensorId> touched_by_;   // last root charged per op (dedups touches)
+};
+
 // Liveness peak under `schedule`: resident buffers are charged over their whole
 // lifetime as in LivenessPeakShardBytes, while recomputed/swapped buffers are charged
 // only at the ops that touch them (their producer and each consumer of any alias).
 // Marking every buffer non-resident yields the minimum achievable peak: the largest
-// single-op working set.
+// single-op working set. Duplicate decisions, decisions on non-root tensors and
+// kResident decisions change nothing (plans loaded from JSON are untrusted).
 std::int64_t ScheduledPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
                                      const MemorySchedule& schedule);
 

@@ -51,6 +51,17 @@ double Percentile(const std::vector<double>& latencies, double q) {
   return latencies[std::min(index, latencies.size() - 1)];
 }
 
+// The id a refused request line still carries, so its error response can name it: the
+// integral int64 "id" member of a JSON-object line, else -1.
+std::int64_t RequestIdOf(const std::string& line) {
+  Result<JsonValue> doc = ParseJson(line);
+  std::int64_t id = -1;
+  if (doc.ok() && doc->is_object()) {
+    if (const JsonValue* value = doc->Find("id")) value->GetInt(&id);
+  }
+  return id;
+}
+
 std::string ErrorResponseLine(std::int64_t id, const Status& status,
                               double elapsed_seconds) {
   JsonWriter w;
@@ -73,7 +84,7 @@ std::string HandleLine(PlanService& service, const std::string& line,
       ParseServeRequest(line, default_algorithm, default_memory_policy);
   if (!request.ok()) {
     *ok_out = false;
-    return ErrorResponseLine(-1, request.status(), SecondsSince(start));
+    return ErrorResponseLine(RequestIdOf(line), request.status(), SecondsSince(start));
   }
   Result<PartitionResponse> response = service.Partition(*request);
   *ok_out = response.ok();

@@ -2,11 +2,14 @@
 // zero-consumer outputs, resident model state), the repair pass's prefix-greedy
 // schedule, the analytic-vs-simulated overhead bounds, budget-ladder monotonicity
 // (tighter budget => equal-or-higher offload cost), the tofu.plan.v4 round trip, and
-// the session-level end-to-end path.
+// the session-level end-to-end path, and a differential check of the incremental
+// repair pass against today's rebuild-per-mark algorithm on four model families.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "tofu/core/session.h"
 #include "tofu/memory/liveness.h"
@@ -14,8 +17,12 @@
 #include "tofu/memory/schedule.h"
 #include "tofu/memory/sim_replay.h"
 #include "tofu/models/mlp.h"
+#include "tofu/models/rnn.h"
+#include "tofu/models/transformer.h"
+#include "tofu/models/wresnet.h"
 #include "tofu/partition/plan_io.h"
 #include "tofu/partition/recursive.h"
+#include "tofu/util/strings.h"
 
 namespace tofu {
 namespace {
@@ -26,6 +33,9 @@ ModelGraph MidMlp() {
   config.batch = 64;
   return BuildMlp(config);
 }
+
+// ScheduledPeakShardBytes of MidMlp @8 repaired halfway between floor and peak.
+constexpr std::int64_t kMidMlpHalfwayPeak = 676616;
 
 // x,w resident state; m = matmul(x,w); r = relu(m); acc = add(r,m) in-place on r.
 // Every tensor is [8,8] fp32 = 256 bytes; one worker, so shards are full tensors.
@@ -94,6 +104,76 @@ TEST(Schedule, SwappedModelStateChargedOnlyAtTouchingOps) {
   // An empty schedule reproduces the plain liveness sweep exactly.
   EXPECT_EQ(ScheduledPeakShardBytes(t.graph, t.plan, MemorySchedule{}),
             LivenessPeakShardBytes(t.graph, t.plan));
+}
+
+// Plans loaded over a socket are untrusted, so a schedule may repeat a decision, name
+// an alias instead of its chain root, or list a kResident decision. None of these may
+// move the peak: the messy schedule prices exactly like the repair pass's own.
+TEST(Schedule, DuplicateAliasAndResidentDecisionsChangeNothing) {
+  ModelGraph model = MidMlp();
+  PartitionPlan plan = RecursivePartition(model.graph, 8);
+  const LivenessAnalysis live = AnalyzeLiveness(model.graph, plan);
+  const std::int64_t baseline = LivenessPeakShardBytes(model.graph, plan);
+  const std::int64_t floor = MinAchievablePeakBytes(model.graph, plan);
+  const RepairResult repair =
+      BuildRepairSchedule(model.graph, plan, floor + (baseline - floor) / 2,
+                          MemoryPolicy::kAuto, MemoryPricing{});
+  ASSERT_TRUE(repair.feasible);
+  const MemorySchedule& clean = *repair.schedule;
+  ASSERT_FALSE(clean.decisions.empty());
+
+  std::vector<bool> decided(static_cast<size_t>(model.graph.num_tensors()), false);
+  for (const MemoryDecision& d : clean.decisions) {
+    decided[static_cast<size_t>(d.tensor)] = true;
+  }
+  MemorySchedule messy = clean;
+  messy.decisions.insert(messy.decisions.end(), clean.decisions.begin(),
+                         clean.decisions.end());
+  // An alias whose root the pass kept resident, and a kResident decision on a
+  // produced root the pass kept resident -- each chosen so that really offloading its
+  // root would lower the peak, so a profile that honoured either decision shows it.
+  auto offloading_lowers_peak = [&](TensorId root) {
+    MemorySchedule more = clean;
+    MemoryDecision d;
+    d.tensor = root;
+    d.residency = Residency::kSwap;
+    more.decisions.push_back(d);
+    return ScheduledPeakShardBytes(model.graph, plan, more) <
+           clean.scheduled_peak_bytes;
+  };
+  TensorId alias = -1;
+  TensorId resident_root = -1;
+  for (TensorId t = 0; t < model.graph.num_tensors(); ++t) {
+    const TensorId root = live.buffer[static_cast<size_t>(t)];
+    if (decided[static_cast<size_t>(root)]) continue;
+    if (alias < 0 && !live.IsRoot(t) && offloading_lowers_peak(root)) alias = t;
+    if (resident_root < 0 && live.IsRoot(t) && !live.IsModelState(t) &&
+        offloading_lowers_peak(t)) {
+      resident_root = t;
+    }
+  }
+  ASSERT_GE(alias, 0);
+  ASSERT_GE(resident_root, 0);
+  MemoryDecision d;
+  d.tensor = alias;
+  d.residency = Residency::kSwap;
+  messy.decisions.push_back(d);
+  d.tensor = resident_root;
+  d.residency = Residency::kResident;
+  messy.decisions.push_back(d);
+  // Ids outside the graph are ignored as well.
+  d.residency = Residency::kSwap;
+  d.tensor = -3;
+  messy.decisions.push_back(d);
+  d.tensor = model.graph.num_tensors();
+  messy.decisions.push_back(d);
+
+  EXPECT_EQ(ScheduledPeakShardBytes(model.graph, plan, messy),
+            clean.scheduled_peak_bytes);
+  EXPECT_EQ(ScheduledPeakShardBytes(model.graph, plan, clean),
+            clean.scheduled_peak_bytes);
+  // Pinned from the rebuild-per-mark implementation this profile replaced.
+  EXPECT_EQ(clean.scheduled_peak_bytes, kMidMlpHalfwayPeak);
 }
 
 TEST(Repair, MakesInfeasibleBudgetFeasible) {
@@ -304,6 +384,210 @@ TEST(Session, MemoryFrontierIsMonotone) {
     EXPECT_GE(point.memory_overhead_seconds, previous_overhead);
     previous_overhead = point.memory_overhead_seconds;
   }
+}
+
+// The rebuild-from-scratch peak sweep the incremental PeakProfile replaced, kept as
+// the differential reference: per-op alloc/free lists for resident buffers, and a
+// whole-graph alias scan per offloaded root.
+std::int64_t ReferenceScheduledPeak(const Graph& graph, const PartitionPlan& plan,
+                                    const MemorySchedule& schedule) {
+  const LivenessAnalysis live = AnalyzeLiveness(graph, plan);
+  const int num_tensors = graph.num_tensors();
+  const int num_ops = live.num_ops;
+  std::vector<bool> offloaded(static_cast<size_t>(num_tensors), false);
+  for (const MemoryDecision& d : schedule.decisions) {
+    if (d.residency != Residency::kResident && d.tensor >= 0 &&
+        d.tensor < num_tensors) {
+      offloaded[static_cast<size_t>(d.tensor)] = true;
+    }
+  }
+  std::vector<std::vector<TensorId>> alloc_list(static_cast<size_t>(num_ops));
+  std::vector<std::vector<TensorId>> free_list(static_cast<size_t>(num_ops));
+  std::vector<std::int64_t> transient(static_cast<size_t>(num_ops), 0);
+  std::int64_t resident = 0;
+  for (TensorId b = 0; b < num_tensors; ++b) {
+    if (!live.IsRoot(b)) continue;
+    const size_t bi = static_cast<size_t>(b);
+    if (!offloaded[bi]) {
+      if (live.IsModelState(b)) {
+        resident += live.buf_bytes[bi];
+        continue;
+      }
+      alloc_list[static_cast<size_t>(live.alloc_at[bi])].push_back(b);
+      if (live.free_at[bi] < num_ops) {
+        free_list[static_cast<size_t>(live.free_at[bi])].push_back(b);
+      }
+      continue;
+    }
+    std::vector<bool> charged(static_cast<size_t>(num_ops), false);
+    if (live.alloc_at[bi] >= 0) charged[static_cast<size_t>(live.alloc_at[bi])] = true;
+    for (TensorId t = 0; t < num_tensors; ++t) {
+      if (live.buffer[static_cast<size_t>(t)] != b) continue;
+      for (OpId c : graph.tensor(t).consumers) charged[static_cast<size_t>(c)] = true;
+    }
+    for (OpId k = 0; k < num_ops; ++k) {
+      if (charged[static_cast<size_t>(k)]) {
+        transient[static_cast<size_t>(k)] += live.buf_bytes[bi];
+      }
+    }
+  }
+  std::int64_t current = resident;
+  std::int64_t peak = current;
+  for (OpId k = 0; k < num_ops; ++k) {
+    for (TensorId b : alloc_list[static_cast<size_t>(k)]) {
+      current += live.buf_bytes[static_cast<size_t>(b)];
+    }
+    peak = std::max(peak, current + transient[static_cast<size_t>(k)]);
+    for (TensorId b : free_list[static_cast<size_t>(k)]) {
+      current -= live.buf_bytes[static_cast<size_t>(b)];
+    }
+  }
+  return peak;
+}
+
+bool SameDecision(const MemoryDecision& a, const MemoryDecision& b) {
+  return a.tensor == b.tensor && a.residency == b.residency && a.bytes == b.bytes &&
+         a.overhead_seconds == b.overhead_seconds;
+}
+
+// Runs the incremental repair pass at ~8 budgets from just below the liveness peak
+// down to floor - 1 under every trading policy, against today's algorithm: mark one
+// more candidate of the pass's sorted list, rebuild the schedule from scratch, and
+// re-evaluate ScheduledPeakShardBytes, stopping at the first prefix that fits.
+void ExpectRepairMatchesRebuildPerMark(const ModelGraph& model) {
+  const Graph& graph = model.graph;
+  const PartitionPlan plan = RecursivePartition(graph, 8);
+  const std::int64_t baseline = LivenessPeakShardBytes(graph, plan);
+  const std::int64_t floor = MinAchievablePeakBytes(graph, plan);
+  ASSERT_LT(floor, baseline);
+  EXPECT_EQ(baseline, ReferenceScheduledPeak(graph, plan, MemorySchedule{}));
+  const MemoryPricing pricing;
+  for (MemoryPolicy policy : {MemoryPolicy::kAuto, MemoryPolicy::kSwapOnly,
+                              MemoryPolicy::kRecomputeOnly}) {
+    SCOPED_TRACE(MemoryPolicyName(policy));
+    // The pass's candidate list: below every floor it marks all of them, and its
+    // sort key (overhead per byte, overhead, tensor id) recovers their order.
+    const RepairResult all =
+        BuildRepairSchedule(graph, plan, floor - 1, policy, pricing);
+    ASSERT_FALSE(all.feasible);
+    std::vector<MemoryDecision> order = all.schedule->decisions;
+    std::sort(order.begin(), order.end(),
+              [](const MemoryDecision& a, const MemoryDecision& b) {
+                const double ra = a.overhead_seconds / a.bytes;
+                const double rb = b.overhead_seconds / b.bytes;
+                if (ra != rb) return ra < rb;
+                if (a.overhead_seconds != b.overhead_seconds) {
+                  return a.overhead_seconds < b.overhead_seconds;
+                }
+                return a.tensor < b.tensor;
+              });
+    auto prefix_schedule = [&](size_t k) {
+      MemorySchedule schedule;
+      schedule.decisions.assign(order.begin(), order.begin() + static_cast<long>(k));
+      return schedule;
+    };
+    // Peak after marking each prefix, every one from a schedule rebuilt from scratch.
+    std::vector<std::int64_t> prefix_peak = {baseline};
+    for (size_t k = 1; k <= order.size(); ++k) {
+      prefix_peak.push_back(ScheduledPeakShardBytes(graph, plan, prefix_schedule(k)));
+    }
+    EXPECT_EQ(prefix_peak.back(), all.min_achievable_peak_bytes);
+    EXPECT_EQ(prefix_peak.back(),
+              ReferenceScheduledPeak(graph, plan, prefix_schedule(order.size())));
+
+    for (int i = 0; i < 8; ++i) {
+      const std::int64_t budget = baseline - 1 - ((baseline - floor) * i) / 7;
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      size_t k = 0;
+      while (prefix_peak[k] > budget && k < order.size()) ++k;
+      const std::int64_t expected_peak = prefix_peak[k];
+
+      const RepairResult repair =
+          BuildRepairSchedule(graph, plan, budget, policy, pricing);
+      ASSERT_NE(repair.schedule, nullptr);
+      const MemorySchedule& got = *repair.schedule;
+      EXPECT_EQ(repair.feasible, expected_peak <= budget);
+      EXPECT_EQ(got.scheduled_peak_bytes, expected_peak);
+      EXPECT_EQ(repair.min_achievable_peak_bytes, expected_peak);
+      EXPECT_EQ(expected_peak, ReferenceScheduledPeak(graph, plan, prefix_schedule(k)));
+      std::vector<MemoryDecision> expected(order.begin(),
+                                           order.begin() + static_cast<long>(k));
+      std::sort(expected.begin(), expected.end(),
+                [](const MemoryDecision& a, const MemoryDecision& b) {
+                  return a.tensor < b.tensor;
+                });
+      ASSERT_EQ(got.decisions.size(), expected.size());
+      for (size_t j = 0; j < expected.size(); ++j) {
+        EXPECT_TRUE(SameDecision(got.decisions[j], expected[j])) << "decision " << j;
+      }
+      // Minimal: the marked prefix fits and the one a mark shorter does not.
+      if (repair.feasible && k > 0) {
+        EXPECT_GT(ScheduledPeakShardBytes(graph, plan, prefix_schedule(k - 1)), budget);
+      }
+    }
+  }
+}
+
+TEST(RepairDifferential, MidMlp) { ExpectRepairMatchesRebuildPerMark(MidMlp()); }
+
+TEST(RepairDifferential, Transformer2) {
+  TransformerConfig config;
+  config.layers = 2;
+  ExpectRepairMatchesRebuildPerMark(BuildTransformer(config));
+}
+
+TEST(RepairDifferential, WResNet50W4) {
+  WResNetConfig config;
+  config.layers = 50;
+  config.width = 4;
+  ExpectRepairMatchesRebuildPerMark(BuildWResNet(config));
+}
+
+TEST(RepairDifferential, Rnn2x512) {
+  RnnConfig config;
+  config.layers = 2;
+  config.hidden = 512;
+  config.timesteps = 4;
+  ExpectRepairMatchesRebuildPerMark(BuildRnn(config));
+}
+
+// The model the repair pass used to spend seconds per budgeted request on. Checks
+// results only: a mid budget gets a repaired plan that fits, and half the floor gets
+// kResourceExhausted quoting the same floor MinAchievablePeakBytes computes.
+TEST(Session, LargeRnnBudgetsRepairOrQuoteTheFloor) {
+  RnnConfig config;
+  config.layers = 4;
+  config.hidden = 2048;
+  config.timesteps = 10;
+  ModelGraph model = BuildRnn(config);
+  Session session(DeviceTopology::FromCluster(K80Cluster()));
+  PartitionRequest request;
+  request.graph = &model.graph;
+  Result<PartitionResponse> unconstrained = session.Partition(request);
+  ASSERT_TRUE(unconstrained.ok()) << unconstrained.status().ToString();
+  const std::int64_t peak = unconstrained->peak_shard_bytes;
+  const std::int64_t floor = MinAchievablePeakBytes(model.graph, unconstrained->plan);
+  ASSERT_LT(floor, peak);
+
+  PartitionRequest mid = request;
+  mid.memory_budget_bytes = floor + (peak - floor) / 2;
+  Result<PartitionResponse> repaired = session.Partition(mid);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  ASSERT_NE(repaired->plan.memory_schedule, nullptr);
+  EXPECT_LE(repaired->plan.memory_schedule->scheduled_peak_bytes,
+            mid.memory_budget_bytes);
+  EXPECT_LE(repaired->peak_shard_bytes, mid.memory_budget_bytes);
+
+  PartitionRequest starved = request;
+  starved.memory_budget_bytes = floor / 2;
+  Result<PartitionResponse> refused = session.Partition(starved);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status().message().find(
+                "minimum achievable peak with every buffer swapped or recomputed: " +
+                HumanBytes(static_cast<double>(floor))),
+            std::string::npos)
+      << refused.status().ToString();
 }
 
 }  // namespace

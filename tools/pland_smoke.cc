@@ -10,7 +10,8 @@
 // ValidatePlanForGraph against a freshly built graph, the duplicate is served without
 // a second search (from_cache or coalesced), the hybrid response carries a real
 // multi-stage tofu.plan.v3 pipeline, and the bad requests come back as recoverable
-// errors, not a dead process: the valid line after them is still served. A second
+// errors, not a dead process: the valid line after them is still served. A refused
+// line echoes its own id; only the line that is not JSON answers with id -1. A second
 // daemon run under --algo=Hybrid checks the default-algorithm flag routes requests
 // that omit "algorithm". Exits non-zero with a message on the first violation.
 #include <cstdio>
@@ -181,25 +182,28 @@ int main(int argc, char** argv) {
       Check(model.ok(), "hybrid model build failed");
       const tofu::Status valid = tofu::ValidatePlanForGraph(model->graph, *plan);
       Check(valid.ok(), "hybrid plan does not validate: " + valid.ToString());
-    } else if (*id == 4) {
-      Check(!*ok_field, "unknown model unexpectedly succeeded");
+    } else if (*id == 4 || *id == 7 || *id == 8) {
+      // Refused requests that still carry a usable id echo it, in input order.
+      Check(!*ok_field, "request id " + std::to_string(*id) +
+                            " unexpectedly succeeded: " + lines[i]);
+      Check(static_cast<std::int64_t>(i) + 1 == *id,
+            "refused request id " + std::to_string(*id) + " answered at line " +
+                std::to_string(i));
+      const char* field =
+          *id == 4 ? "'vgg'" : (*id == 7 ? "'workers'" : "'layer_sizes'");
       tofu::Result<std::string> code = doc->StringAt("code");
-      Check(code.ok() && *code == "INVALID_ARGUMENT",
-            "unknown model should be INVALID_ARGUMENT, got line: " + lines[i]);
+      tofu::Result<std::string> error = doc->StringAt("error");
+      Check(code.ok() && *code == "INVALID_ARGUMENT" && error.ok() &&
+                error->find(field) != std::string::npos,
+            std::string("bad ") + field + " should be INVALID_ARGUMENT, got line: " +
+                lines[i]);
     } else if (*id == -1) {
-      // Lines that fail to parse carry no id; responses keep input order, so the
-      // position says which request this is.
+      // Only the line that is not JSON has no id to echo; responses keep input
+      // order, so the position says which request this is.
       Check(!*ok_field,
             "unparseable line " + std::to_string(i) + " unexpectedly succeeded");
-      const char* field = i == 6 ? "'workers'" : (i == 7 ? "'layer_sizes'" : nullptr);
-      if (field != nullptr) {
-        tofu::Result<std::string> code = doc->StringAt("code");
-        tofu::Result<std::string> error = doc->StringAt("error");
-        Check(code.ok() && *code == "INVALID_ARGUMENT" && error.ok() &&
-                  error->find(field) != std::string::npos,
-              std::string("bad ") + field + " should be INVALID_ARGUMENT, got line: " +
-                  lines[i]);
-      }
+      Check(i == 4, "response line " + std::to_string(i) +
+                        " lost its request id: " + lines[i]);
     } else {
       Fail("unexpected response id " + std::to_string(*id));
     }
