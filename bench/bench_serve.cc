@@ -209,12 +209,7 @@ int CheckDeterminism(const std::vector<std::string>& specs,
                    line.c_str());
       ++mismatches;
     }
-    // Search wall time is the one legitimately nondeterministic plan field.
-    tofu::PartitionPlan cached_plan = cached->plan;
-    tofu::PartitionPlan fresh_plan = fresh->plan;
-    cached_plan.search_stats.wall_seconds = 0.0;
-    fresh_plan.search_stats.wall_seconds = 0.0;
-    if (tofu::PlanToJson(cached_plan) != tofu::PlanToJson(fresh_plan)) {
+    if (tofu::PlanToJson(cached->plan) != tofu::PlanToJson(fresh->plan)) {
       std::fprintf(stderr, "bench_serve: plan diverged for %s\n", line.c_str());
       ++mismatches;
     }

@@ -220,13 +220,8 @@ void Run(const std::string& name, ModelGraph model, JsonWriter* json) {
   Result<PartitionResponse> fresh = fresh_session.Partition(request);
   const bool cache_hit = first.ok() && second.ok() && !first->from_cache &&
                          second->from_cache && session.cache_stats().hits == 1;
-  // Byte-identical up to search wall time, the one nondeterministic plan field.
-  auto comparable = [](PartitionPlan plan) {
-    plan.search_stats.wall_seconds = 0.0;
-    return PlanToJson(plan);
-  };
   const bool identical =
-      second.ok() && fresh.ok() && comparable(second->plan) == comparable(fresh->plan);
+      second.ok() && fresh.ok() && PlanToJson(second->plan) == PlanToJson(fresh->plan);
   std::printf("  session plan cache:   repeat %s, cached == fresh plan: %s\n\n",
               cache_hit ? "hit" : "MISSED", identical ? "byte-identical" : "DIVERGED");
 

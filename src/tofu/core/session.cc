@@ -392,9 +392,9 @@ Result<PartitionResponse> Session::SearchAndCache(const PartitionRequest& reques
   // all-resident upper bound for reporting. The budget check and feasibility verdict
   // use the peak: summing every shard as simultaneously resident overstated memory and
   // declared feasible plans infeasible. A hybrid plan's figures are the max over its
-  // stages' stage-restricted peaks (pipeline/stage_cost.h): the whole-graph sweep would
-  // wrongly charge every worker the full model, when each stage's workers hold only
-  // their stage's state plus boundary activations.
+  // stages' stage-restricted peaks (pipeline/compose.cc, a masked AnalyzeLiveness): the
+  // whole-graph sweep would wrongly charge every worker the full model, when each
+  // stage's workers hold only their stage's state plus boundary activations.
   if (plan.pipeline != nullptr) {
     for (const PipelineStage& stage : plan.pipeline->stages) {
       response.peak_shard_bytes = std::max(response.peak_shard_bytes, stage.peak_bytes);

@@ -129,6 +129,14 @@ class Graph {
   mutable std::deque<std::atomic<const OpSemantics*>> semantics_cache_;
 };
 
+// Persistent model state -- weights, optimizer history, graph inputs and parameter
+// gradients: pre-allocated for the whole iteration rather than owned by the op that
+// writes it, and never handed between pipeline stages.
+inline bool IsPersistentState(const Graph& graph, const TensorNode& t) {
+  return t.is_param || t.is_opt_state || t.is_input ||
+         (t.grad_of != kNoTensor && graph.tensor(t.grad_of).is_param);
+}
+
 // Structural validation: producer/consumer symmetry, shapes re-inferable through the
 // registry, gradient links well-formed. Aborts on violation (used by tests and builders).
 void ValidateGraph(const Graph& graph);

@@ -1,14 +1,20 @@
-// Liveness-aware residency analysis for a partitioned graph, behind the MemoryModel
-// interface every layer consults. Moved here from partition/plan.cc so the search, the
-// session's feasibility verdict, the schedule repair pass, and the simulator all share
-// one buffer model:
+// Liveness-aware residency analysis for a partitioned graph: the one buffer model the
+// search, the session's feasibility verdict, the schedule repair pass, the hybrid stage
+// accounting, and the simulator share:
 //
-//   - model state (inputs, weights, optimizer history -- every producer-less tensor)
-//     stays resident for the whole iteration;
+//   - model state (inputs, weights, optimizer history -- every producer-less tensor
+//     some op reads) stays resident for the whole iteration;
 //   - a produced tensor's buffer is allocated when its producer runs and freed after
 //     its last consumer (a produced tensor nobody reads lives to the end);
 //   - in-place outputs (OpNode::inplace_input) extend their input's buffer instead of
 //     allocating a new one, so an alias chain is one buffer rooted at its first tensor.
+//
+// An optional op mask restricts the analysis to the ops one worker runs (a pipeline
+// stage, pipeline/compose.h). An op outside the mask does not run on this worker, so a
+// tensor no running op produces or reads is not materialized, a buffer whose producer
+// runs elsewhere is resident for the whole pass (it arrives before the pass and its
+// gradient hand-off pins it), and a buffer produced here that no running op reads
+// lives to the end (pinned until it is handed off).
 #ifndef TOFU_MEMORY_LIVENESS_H_
 #define TOFU_MEMORY_LIVENESS_H_
 
@@ -28,9 +34,10 @@ struct LivenessAnalysis {
   std::vector<TensorId> buffer;
   // Shard bytes per buffer root (aliases share storage; max over chain members).
   std::vector<std::int64_t> buf_bytes;
-  // Op that allocates the buffer, or -1 for resident model state (producer-less root).
+  // Op that allocates the buffer, or -1 for resident model state (a root whose
+  // producer does not run here: producer-less, or off the op mask).
   std::vector<int> alloc_at;
-  // Last op that reads any alias (num_ops = lives to the end of the iteration).
+  // Last running op that reads any alias (num_ops = lives to the end of the iteration).
   std::vector<int> free_at;
   int num_ops = 0;
 
@@ -43,7 +50,10 @@ struct LivenessAnalysis {
 
 // Resolves alias chains and computes every buffer's bytes and lifetime under `plan`'s
 // final tilings. Op ids are a topological order, so one forward pass suffices.
-LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan);
+// `op_runs` (indexed by OpId, nonzero = runs here) is the op mask; empty means every
+// op runs. Buffers that are not materialized carry zero bytes.
+LivenessAnalysis AnalyzeLiveness(const Graph& graph, const PartitionPlan& plan,
+                                 const std::vector<char>& op_runs = {});
 
 // Per-worker residency upper bound: every tensor's final shard resident at once, no
 // liveness or buffer-reuse credit. Schedule-independent, hence conservative.
@@ -53,35 +63,6 @@ std::int64_t AllResidentShardBytes(const Graph& graph, const PartitionPlan& plan
 // resident. Always <= AllResidentShardBytes; this is what the session's budget check
 // and feasibility verdict use. Defined in schedule.cc on the shared PeakProfile.
 std::int64_t LivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan);
-
-// The interface the planner layers program against. The default model is the liveness
-// sweep above; ScheduledMemoryModel (memory/schedule.h) prices plans that carry a
-// MemorySchedule.
-class MemoryModel {
- public:
-  virtual ~MemoryModel() = default;
-  // Per-worker peak resident bytes of `plan` on `graph`.
-  virtual std::int64_t PeakShardBytes(const Graph& graph,
-                                      const PartitionPlan& plan) const = 0;
-  // Schedule-independent upper bound (everything resident at once).
-  virtual std::int64_t AllResidentBytes(const Graph& graph,
-                                        const PartitionPlan& plan) const = 0;
-};
-
-class LivenessMemoryModel final : public MemoryModel {
- public:
-  std::int64_t PeakShardBytes(const Graph& graph,
-                              const PartitionPlan& plan) const override {
-    return LivenessPeakShardBytes(graph, plan);
-  }
-  std::int64_t AllResidentBytes(const Graph& graph,
-                                const PartitionPlan& plan) const override {
-    return AllResidentShardBytes(graph, plan);
-  }
-};
-
-// Process-wide default (stateless, hence shareable).
-const MemoryModel& DefaultMemoryModel();
 
 }  // namespace tofu
 

@@ -109,28 +109,4 @@ std::int64_t ScheduledPeakShardBytes(const Graph& graph, const PartitionPlan& pl
   return profile.Peak();
 }
 
-namespace {
-
-class ScheduleAwareModel final : public MemoryModel {
- public:
-  std::int64_t PeakShardBytes(const Graph& graph,
-                              const PartitionPlan& plan) const override {
-    if (plan.memory_schedule != nullptr) {
-      return ScheduledPeakShardBytes(graph, plan, *plan.memory_schedule);
-    }
-    return LivenessPeakShardBytes(graph, plan);
-  }
-  std::int64_t AllResidentBytes(const Graph& graph,
-                                const PartitionPlan& plan) const override {
-    return AllResidentShardBytes(graph, plan);
-  }
-};
-
-}  // namespace
-
-const MemoryModel& ScheduleAwareMemoryModel() {
-  static const ScheduleAwareModel model;
-  return model;
-}
-
 }  // namespace tofu

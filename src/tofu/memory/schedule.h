@@ -78,10 +78,11 @@ struct MemorySchedule {
 };
 
 // Per-op resident bytes of one plan: the one peak model behind LivenessPeakShardBytes,
-// ScheduledPeakShardBytes, MinAchievablePeakBytes and the repair pass. Built once from
-// a LivenessAnalysis; Offload then updates it in place in O(lifetime + touches), so
-// marking buffers one at a time never re-runs liveness. Integer sums make the peak
-// independent of the order of offloads.
+// ScheduledPeakShardBytes, MinAchievablePeakBytes, the repair pass and the hybrid
+// stage peaks (built from a masked analysis). Built once from a LivenessAnalysis;
+// Offload then updates it in place in O(lifetime + touches), so marking buffers one at
+// a time never re-runs liveness. Integer sums make the peak independent of the order
+// of offloads. Offload charges every consumer, so it assumes an unmasked analysis.
 class PeakProfile {
  public:
   // `graph` and `live` must outlive the profile.
@@ -113,11 +114,6 @@ class PeakProfile {
 // kResident decisions change nothing (plans loaded from JSON are untrusted).
 std::int64_t ScheduledPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
                                      const MemorySchedule& schedule);
-
-// MemoryModel that honours a plan's attached schedule and degrades to the plain
-// liveness sweep for plans without one. This is what the session's budget verdict
-// uses once the repair pass can attach schedules.
-const MemoryModel& ScheduleAwareMemoryModel();
 
 }  // namespace tofu
 

@@ -91,7 +91,9 @@ void WritePlanObject(JsonWriter* wp, const PartitionPlan& plan) {
   w.Key("max_frontier_states").Int(plan.search_stats.max_frontier_states);
   w.Key("cost_table_entries").Int(plan.search_stats.cost_table_entries);
   w.Key("memory_pruned_states").Int(plan.search_stats.memory_pruned_states);
-  w.Key("wall_seconds").Number(plan.search_stats.wall_seconds);
+  // Timings never enter plan JSON: the key stays (v2-v4 readers require it) at 0, so
+  // identical requests serialize to identical bytes.
+  w.Key("wall_seconds").Number(0.0);
   w.Key("exact").Bool(plan.search_stats.exact);
   w.EndObject();
   w.Key("steps").BeginArray();
@@ -546,9 +548,7 @@ Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan) {
 }
 
 std::string PlanDigest(const PartitionPlan& plan) {
-  PartitionPlan normalized = plan;
-  normalized.search_stats.wall_seconds = 0.0;
-  const std::string json = PlanToJson(normalized);
+  const std::string json = PlanToJson(plan);
   std::uint64_t h = 1469598103934665603ull;
   for (unsigned char c : json) {
     h ^= c;

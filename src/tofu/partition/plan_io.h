@@ -54,9 +54,8 @@ Result<PartitionPlan> PlanFromJson(const std::string& json);
 // Returns kInvalidArgument describing the first violation.
 Status ValidatePlanForGraph(const Graph& graph, const PartitionPlan& plan);
 
-// FNV-1a fingerprint of the normalized plan JSON (search wall time -- the one
-// nondeterministic field -- zeroed first): a machine-independent digest of WHAT a
-// search found. bench_table1_search emits it, tools/check_perf.py gates it against
+// FNV-1a fingerprint of the plan JSON (which carries no timings): a
+// machine-independent digest of WHAT a search found. bench_table1_search emits it, tools/check_perf.py gates it against
 // bench/baseline_table1.json, and tests/test_plan_goldens.cc pins the uniform-topology
 // plans to their pre-interconnect values with it.
 std::string PlanDigest(const PartitionPlan& plan);

@@ -214,6 +214,9 @@ struct SearchEngine::Impl {
   std::shared_ptr<GroupCostTables> FillOrImportAllTables(
       const GroupCostFn& table_fn, const GroupFillFn* fill_fn,
       std::vector<std::vector<std::int64_t>>* strides, Result* result);
+  std::shared_ptr<const std::vector<double>> ImportOrFillTable(
+      int g, std::int64_t cells, const GroupCostFn& table_fn, const GroupFillFn* fill_fn,
+      Result* result) const;
 };
 
 SearchEngine::SearchEngine(SearchSpace space, SearchEngineOptions options)
@@ -249,8 +252,6 @@ std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
   auto tables = std::make_shared<GroupCostTables>();
   tables->groups.resize(static_cast<size_t>(num_groups));
   strides->resize(static_cast<size_t>(num_groups));
-  const GroupCostTables* reuse = options.reuse_tables.get();
-  std::vector<int> opts_buffer;
   for (int g = 0; g < num_groups; ++g) {
     const std::vector<int>& touched = space.group_slots[static_cast<size_t>(g)];
     const int k = static_cast<int>(touched.size());
@@ -261,38 +262,49 @@ std::shared_ptr<GroupCostTables> SearchEngine::Impl::FillOrImportAllTables(
       stride[static_cast<size_t>(i)] = cells;
       cells *= space.slot_num_options[static_cast<size_t>(touched[static_cast<size_t>(i)])];
     }
-    if (reuse != nullptr && static_cast<size_t>(g) < reuse->groups.size() &&
-        reuse->groups[static_cast<size_t>(g)] != nullptr &&
-        static_cast<std::int64_t>(reuse->groups[static_cast<size_t>(g)]->size()) == cells) {
-      tables->groups[static_cast<size_t>(g)] = reuse->groups[static_cast<size_t>(g)];
-      result->stats.reused_table_entries += cells;
-    } else {
-      auto fresh = std::make_shared<std::vector<double>>(static_cast<size_t>(cells));
-      if (fill_fn != nullptr) {
-        (*fill_fn)(g, fresh->data(), cells);
-      } else {
-        opts_buffer.assign(static_cast<size_t>(k), 0);
-        for (std::int64_t idx = 0; idx < cells; ++idx) {
-          (*fresh)[static_cast<size_t>(idx)] = table_fn(g, opts_buffer.data());
-          for (int i = k - 1; i >= 0; --i) {  // odometer: same order as the idx decode
-            if (++opts_buffer[static_cast<size_t>(i)] <
-                space.slot_num_options[static_cast<size_t>(touched[static_cast<size_t>(i)])]) {
-              break;
-            }
-            opts_buffer[static_cast<size_t>(i)] = 0;
-          }
-        }
-      }
-      tables->groups[static_cast<size_t>(g)] = std::move(fresh);
-    }
-    // Imported cells count exactly like computed ones: these counters are a property
-    // of the SEARCH, not of cache temperature, and serialized plans must stay
-    // byte-identical between warm and cold runs.
-    result->stats.states_explored += cells;
-    result->stats.cost_table_entries += cells;
+    tables->groups[static_cast<size_t>(g)] =
+        ImportOrFillTable(g, cells, table_fn, fill_fn, result);
   }
   result->stats.fill_seconds += SecondsSince(t0);
   return tables;
+}
+
+// Group g's dense cost table, `cells` cells in the engine's canonical mixed-radix order
+// (last touched slot fastest): imported from options.reuse_tables when a previous search
+// of this space left one of the same size, else filled here. Imported cells count
+// exactly like computed ones: these counters are a property of the SEARCH, not of cache
+// temperature, and serialized plans must stay byte-identical between warm and cold runs.
+std::shared_ptr<const std::vector<double>> SearchEngine::Impl::ImportOrFillTable(
+    int g, std::int64_t cells, const GroupCostFn& table_fn, const GroupFillFn* fill_fn,
+    Result* result) const {
+  result->stats.states_explored += cells;
+  result->stats.cost_table_entries += cells;
+  const GroupCostTables* reuse = options.reuse_tables.get();
+  if (reuse != nullptr && static_cast<size_t>(g) < reuse->groups.size() &&
+      reuse->groups[static_cast<size_t>(g)] != nullptr &&
+      static_cast<std::int64_t>(reuse->groups[static_cast<size_t>(g)]->size()) == cells) {
+    result->stats.reused_table_entries += cells;
+    return reuse->groups[static_cast<size_t>(g)];
+  }
+  auto fresh = std::make_shared<std::vector<double>>(static_cast<size_t>(cells));
+  if (fill_fn != nullptr) {
+    (*fill_fn)(g, fresh->data(), cells);
+    return fresh;
+  }
+  const std::vector<int>& touched = space.group_slots[static_cast<size_t>(g)];
+  const int k = static_cast<int>(touched.size());
+  std::vector<int> opts(static_cast<size_t>(k), 0);
+  for (std::int64_t idx = 0; idx < cells; ++idx) {
+    (*fresh)[static_cast<size_t>(idx)] = table_fn(g, opts.data());
+    for (int i = k - 1; i >= 0; --i) {  // odometer: last touched slot fastest
+      if (++opts[static_cast<size_t>(i)] <
+          space.slot_num_options[static_cast<size_t>(touched[static_cast<size_t>(i)])]) {
+        break;
+      }
+      opts[static_cast<size_t>(i)] = 0;
+    }
+  }
+  return fresh;
 }
 
 // Dense-lattice sweep: the frontier is one flat cost array whose axes are the live
@@ -890,40 +902,15 @@ SearchEngine::Result SearchEngine::Impl::RunImpl(const GroupCostFn* table_fn,
       use_table = use_table && cells <= cells_cap;
 
       if (use_table) {
-        // Import the group's table from a previous search of this space when the cell
-        // count matches; otherwise fill it here. Either way the cells count as search
-        // effort (the byte-identical warm/cold contract of SearchStats).
-        std::shared_ptr<const std::vector<double>> table;
-        const GroupCostTables* reuse = options.reuse_tables.get();
-        if (reuse != nullptr && static_cast<size_t>(g) < reuse->groups.size() &&
-            reuse->groups[static_cast<size_t>(g)] != nullptr &&
-            static_cast<std::int64_t>(reuse->groups[static_cast<size_t>(g)]->size()) ==
-                cells) {
-          table = reuse->groups[static_cast<size_t>(g)];
-          result.stats.reused_table_entries += cells;
-        } else {
-          const auto t_fill = Clock::now();
-          auto fresh = std::make_shared<std::vector<double>>(static_cast<size_t>(cells));
-          if (fill_fn != nullptr) {
-            // `rel` is group_slots[g] (sorted slot order) and the strides follow the
-            // same mixed-radix layout, so the bulk fill's contract applies unchanged.
-            (*fill_fn)(g, fresh->data(), cells);
-          } else {
-            for (std::int64_t idx = 0; idx < cells; ++idx) {
-              for (int i = 0; i < k; ++i) {
-                opts_buffer[static_cast<size_t>(i)] = static_cast<int>(
-                    (idx / stride[static_cast<size_t>(i)]) %
-                    space.slot_num_options[static_cast<size_t>(rel[static_cast<size_t>(i)].slot)]);
-              }
-              (*fresh)[static_cast<size_t>(idx)] = (*table_fn)(g, opts_buffer.data());
-            }
-          }
-          table = std::move(fresh);
-          result.stats.fill_seconds += SecondsSince(t_fill);
-        }
+        // `rel` is group_slots[g] (sorted slot order; every touched slot is live here)
+        // and `stride` follows the same mixed-radix layout, so the dense path's
+        // import-or-fill applies unchanged.
+        TOFU_CHECK_EQ(static_cast<size_t>(k), touched.size());
+        const auto t_fill = Clock::now();
+        const std::shared_ptr<const std::vector<double>> table =
+            ImportOrFillTable(g, cells, *table_fn, fill_fn, &result);
+        result.stats.fill_seconds += SecondsSince(t_fill);
         out_tables->groups[static_cast<size_t>(g)] = table;
-        result.stats.states_explored += cells;
-        result.stats.cost_table_entries += cells;
 
         const auto t_charge = Clock::now();
         for (std::int64_t i = 0; i < states.count(); ++i) {

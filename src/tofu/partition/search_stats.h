@@ -46,6 +46,8 @@ struct SearchStats {
   // Always 0 when dominance pruning is off or nothing was dominated. Diagnostic only --
   // never serialized into plan JSON.
   std::int64_t pruned_table_cells = 0;
+  // Search wall time. Diagnostic only -- plan JSON always carries 0 here, so identical
+  // requests serialize to identical bytes.
   double wall_seconds = 0.0;
   // Per-phase wall-time attribution of wall_seconds (diagnostic; not serialized):
   // cost-table fills, state expansion (branching entering slots), charging group costs

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
-#include "tofu/memory/liveness.h"
+#include "tofu/memory/schedule.h"
 #include "tofu/pipeline/pipeline_sim.h"
 #include "tofu/pipeline/stage_cost.h"
 #include "tofu/util/logging.h"
@@ -267,7 +268,6 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
         }
       }
       merged.Merge(stage.plan.search_stats);
-      stage.plan.search_stats.wall_seconds = 0.0;  // keep serialization deterministic
 
       const double inner_comm =
           stage.plan.estimated_comm_seconds > 0.0
@@ -300,9 +300,13 @@ PartitionPlan HybridPartition(const Graph& graph, int num_workers,
             cost.ForwardCrossingBytes(last) + cost.BackwardCrossingBytes(last);
       }
 
-      const std::vector<char> mask = StageOpMask(graph, coarse, first, last);
-      stage.peak_bytes = StageLivenessPeakShardBytes(graph, stage.plan, mask);
-      stage.all_resident_bytes = StageAllResidentShardBytes(graph, stage.plan, mask);
+      // A stage worker materializes only what its own ops produce or read: off-stage
+      // buffers cost it nothing, which is the whole memory point of pipelining.
+      const LivenessAnalysis live = AnalyzeLiveness(
+          graph, stage.plan, StageOpMask(graph, coarse, first, last));
+      stage.peak_bytes = PeakProfile(graph, live).Peak();
+      stage.all_resident_bytes =
+          std::accumulate(live.buf_bytes.begin(), live.buf_bytes.end(), std::int64_t{0});
       if (budget > 0 && stage.peak_bytes > budget) {
         feasible = false;
       }

@@ -8,12 +8,12 @@
 // own. All three are precomputed once per (graph, coarse graph, cluster) and queried in
 // O(1) per range, so the DP over all (stage count, boundary) candidates stays cheap.
 //
-// The kernel-time recipe mirrors sim/lowering.cc's ShardKernelSeconds / EfficiencyRows
-// exactly (same registry flops, same byte accounting, same rows heuristic) so the stage
-// estimate and the event simulator price compute identically; the only liberty is that
-// rows are scaled by the micro-batch split alone -- the intra-stage partition's cut
-// dimension is unknown until the inner search runs, and applying the same optimism to
-// every candidate keeps the DP's ranking fair.
+// The kernel-time recipe calls sim/lowering.cc's FullOpWork / EfficiencyRows (the pieces
+// of ShardKernelSeconds, cached per op so the DP makes no registry calls per query), so
+// the stage estimate and the event simulator price compute identically; the only
+// liberty is that rows are scaled by the micro-batch split alone -- the intra-stage
+// partition's cut dimension is unknown until the inner search runs, and applying the
+// same optimism to every candidate keeps the DP's ranking fair.
 #ifndef TOFU_PIPELINE_STAGE_COST_H_
 #define TOFU_PIPELINE_STAGE_COST_H_
 
@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "tofu/partition/coarsen.h"
-#include "tofu/partition/plan.h"
 #include "tofu/sim/cost_model.h"
+#include "tofu/sim/lowering.h"
 
 namespace tofu {
 
@@ -36,8 +36,8 @@ std::vector<int> OpGroupIndex(const Graph& graph, const CoarseGraph& coarse);
 // never enumerates strategies for off-stage operators.
 CoarseGraph StageCoarse(const CoarseGraph& full, int first_group, int last_group);
 
-// 1 for ops whose macro group lies in [first_group, last_group], else 0. The mask the
-// stage-restricted memory accounting below consumes.
+// 1 for ops whose macro group lies in [first_group, last_group], else 0: the op mask
+// AnalyzeLiveness (memory/liveness.h) takes to account one stage's memory.
 std::vector<char> StageOpMask(const Graph& graph, const CoarseGraph& coarse,
                               int first_group, int last_group);
 
@@ -72,10 +72,8 @@ class StageCostModel {
   struct OpCost {
     int group = 0;
     bool backward = false;  // backward / update / grad-agg pass
-    OpClass op_class = OpClass::kBandwidth;
-    double flops = 0.0;  // full batch, whole op
-    double bytes = 0.0;  // output + inputs, full batch
-    double rows = 0.0;   // EfficiencyRows of the full output shape
+    OpWork work;        // full batch, whole op
+    double rows = 0.0;  // EfficiencyRows of the full output shape
   };
 
   int num_groups_ = 0;
@@ -87,20 +85,6 @@ class StageCostModel {
   // state_prefix_[g+1] - state_prefix_[first] = StateBytes(first, g).
   std::vector<std::int64_t> state_prefix_;
 };
-
-// LivenessPeakShardBytes restricted to one stage's workers: only buffers a stage worker
-// materializes count -- stage-owned model state, buffers produced by in-stage ops, and
-// incoming boundary activations (produced off-stage, consumed in-stage), which stay
-// resident for the stage's whole pass (they arrive before the stage runs and their
-// gradient hand-off pins them). Off-stage buffers contribute nothing, which is the whole
-// memory point of pipelining: LivenessPeakShardBytes on a stage's inner plan would charge
-// every worker the full model.
-std::int64_t StageLivenessPeakShardBytes(const Graph& graph, const PartitionPlan& plan,
-                                         const std::vector<char>& op_in_stage);
-
-// Stage-restricted all-resident upper bound (every in-stage buffer at once).
-std::int64_t StageAllResidentShardBytes(const Graph& graph, const PartitionPlan& plan,
-                                        const std::vector<char>& op_in_stage);
 
 }  // namespace tofu
 

@@ -45,6 +45,27 @@ SimGraph LowerPlacement(const Graph& graph, int num_devices,
                         const ClusterSpec& cluster, double samples_per_iteration,
                         const LowerOptions& options = {});
 
+// Full-op work of `op` at full shapes: registry flops, and the bytes it moves (output
+// plus every input). The one recipe behind every shard-kernel price: the lowerings,
+// the repair pass's recompute pricing, and the hybrid stage cost model.
+struct OpWork {
+  OpClass op_class = OpClass::kBandwidth;
+  double flops = 0.0;
+  double bytes = 0.0;
+};
+OpWork FullOpWork(const Graph& graph, const OpNode& op);
+
+// Kernel time of one worker's share of an op: FullOpWork scaled by `work_fraction`,
+// with kernel efficiency keyed off `rows` (clamped to >= 1).
+double ShardKernelSeconds(const Graph& graph, const OpNode& op, const ClusterSpec& cluster,
+                          double work_fraction, double rows);
+
+// The extent driving kernel efficiency. GEMM-class ops starve on their row count; batched
+// GEMMs (batch_matmul, linear3d -- any rank >= 3 kMatmul output) keep the device busy
+// across the whole batch of GEMMs, so every dimension but the innermost counts as rows.
+// Other classes (conv, bandwidth) key off the leading (batch) dimension.
+double EfficiencyRows(const OpNode& op, const Shape& out_shape);
+
 }  // namespace tofu
 
 #endif  // TOFU_SIM_LOWERING_H_

@@ -11,6 +11,9 @@
 //     pure plan cannot meet forces a multi-stage plan whose every stage fits
 //     (budget-infeasible -> more stages), and max_stages = 1 degenerates to a plan
 //     byte-identical to RecursivePartition's;
+//   * stage memory is the shared liveness analysis under a stage op mask: per-stage
+//     peak and all-resident goldens on two hybrid plans, and an all-ops mask that
+//     reproduces the unmasked analysis;
 //   * the session integration: kHybrid round-trips through AlgorithmFromName, a hybrid
 //     response's memory figures are the max over stage-restricted peaks, and repeated
 //     requests hit the plan cache.
@@ -22,8 +25,12 @@
 #include <vector>
 
 #include "tofu/core/session.h"
+#include "tofu/interconnect/interconnect.h"
 #include "tofu/memory/liveness.h"
+#include "tofu/memory/schedule.h"
 #include "tofu/models/mlp.h"
+#include "tofu/models/rnn.h"
+#include "tofu/models/transformer.h"
 #include "tofu/partition/plan_io.h"
 #include "tofu/partition/recursive.h"
 #include "tofu/pipeline/compose.h"
@@ -238,6 +245,28 @@ TEST(HybridPartition, BudgetThePurePlanCannotMeetForcesMoreStages) {
   }
 }
 
+// Per-stage peak and all-resident goldens; the @hybrid rows of bench/baseline_table1.json
+// pin the same figures through plan digests.
+struct StageMemoryGolden {
+  int first_group;
+  int last_group;
+  std::int64_t peak_bytes;
+  std::int64_t all_resident_bytes;
+};
+
+void ExpectStageMemory(const PartitionPlan& plan,
+                       const std::vector<StageMemoryGolden>& goldens) {
+  ASSERT_NE(plan.pipeline, nullptr);
+  ASSERT_EQ(plan.pipeline->stages.size(), goldens.size());
+  for (size_t s = 0; s < goldens.size(); ++s) {
+    const PipelineStage& stage = plan.pipeline->stages[s];
+    EXPECT_EQ(stage.first_group, goldens[s].first_group) << "stage " << s;
+    EXPECT_EQ(stage.last_group, goldens[s].last_group) << "stage " << s;
+    EXPECT_EQ(stage.peak_bytes, goldens[s].peak_bytes) << "stage " << s;
+    EXPECT_EQ(stage.all_resident_bytes, goldens[s].all_resident_bytes) << "stage " << s;
+  }
+}
+
 TEST(HybridPartition, StageGoldensCoverTheGraphContiguously) {
   ModelGraph model = NarrowMlp();
   PartitionOptions options;
@@ -249,6 +278,7 @@ TEST(HybridPartition, StageGoldensCoverTheGraphContiguously) {
   EXPECT_EQ(pipe.num_stages, 2);
   EXPECT_EQ(pipe.micro_batches, 8);
   ASSERT_EQ(pipe.stages.size(), static_cast<size_t>(pipe.num_stages));
+  ExpectStageMemory(plan, {{0, 6, 140, 228}, {7, 15, 148, 256}});
 
   const CoarseGraph coarse = Coarsen(model.graph);
   const int G = static_cast<int>(coarse.groups.size());
@@ -278,6 +308,58 @@ TEST(HybridPartition, StageGoldensCoverTheGraphContiguously) {
   const double sim = Simulate1F1BSeconds(pipe);
   EXPECT_GE(sim, pipe.pipeline_seconds * (1.0 - 1e-12));
   EXPECT_LE(sim, pipe.pipeline_seconds * 2.0);
+}
+
+TEST(StageMemory, TransformerOnTwoNodesStagesMatchGoldens) {
+  TransformerConfig config;
+  config.layers = 4;
+  ModelGraph model = BuildTransformer(config);
+  Session session(
+      DeviceTopology::WithInterconnect(MakeHierarchy(2, 8, 21e9, 2.5e9, 15e-6)));
+  PartitionRequest request;
+  request.graph = &model.graph;
+  request.algorithm = PartitionAlgorithm::kHybrid;
+  Result<PartitionResponse> response = session.Partition(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ExpectStageMemory(response->plan, {{0, 27, 14680064, 31457280},
+                                     {28, 37, 31614976, 53117952},
+                                     {38, 61, 13631488, 37093376},
+                                     {62, 71, 31614976, 53117952},
+                                     {72, 91, 14024704, 34603008},
+                                     {92, 102, 32925696, 53249024},
+                                     {103, 122, 13107200, 33161216},
+                                     {123, 139, 33769512, 57720424}});
+}
+
+// With every op running, the mask changes nothing: the analysis, and so the peak, is
+// the unmasked one (golden: the pre-mask LivenessPeakShardBytes).
+void ExpectAllOpsMaskIsUnmasked(const ModelGraph& model, std::int64_t golden_peak) {
+  const PartitionPlan plan = RecursivePartition(model.graph, 8);
+  const LivenessAnalysis unmasked = AnalyzeLiveness(model.graph, plan);
+  const LivenessAnalysis all_ops = AnalyzeLiveness(
+      model.graph, plan, std::vector<char>(static_cast<size_t>(model.graph.num_ops()), 1));
+  EXPECT_EQ(all_ops.buffer, unmasked.buffer);
+  EXPECT_EQ(all_ops.buf_bytes, unmasked.buf_bytes);
+  EXPECT_EQ(all_ops.alloc_at, unmasked.alloc_at);
+  EXPECT_EQ(all_ops.free_at, unmasked.free_at);
+  EXPECT_EQ(PeakProfile(model.graph, all_ops).Peak(),
+            LivenessPeakShardBytes(model.graph, plan));
+  EXPECT_EQ(LivenessPeakShardBytes(model.graph, plan), golden_peak);
+}
+
+TEST(StageMemory, AllOpsMaskMatchesLivenessPeakOnMidMlp) {
+  MlpConfig config;
+  config.layer_sizes = {512, 512, 512, 256};
+  config.batch = 64;
+  ExpectAllOpsMaskIsUnmasked(BuildMlp(config), 1020680);
+}
+
+TEST(StageMemory, AllOpsMaskMatchesLivenessPeakOnRnn2x512) {
+  RnnConfig config;
+  config.layers = 2;
+  config.hidden = 512;
+  config.timesteps = 4;
+  ExpectAllOpsMaskIsUnmasked(BuildRnn(config), 7739560);
 }
 
 TEST(SessionHybrid, AlgorithmNameRoundTripsAndResponseUsesStagePeaks) {

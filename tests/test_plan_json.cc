@@ -1,7 +1,9 @@
-// Plan serialization tests: every PartitionPlan field survives the JSON round trip, a
-// reloaded plan replays through the simulator with identical totals, malformed or
-// mismatched documents are rejected with recoverable Statuses, and ValidatePlanForGraph
-// rejects plans that do not fit the graph they are applied to.
+// Plan serialization tests: every PartitionPlan field but the search wall time (a
+// timing, which never enters plan JSON) survives the JSON round trip, two fresh
+// sessions serialize one request to identical bytes, a reloaded plan replays through
+// the simulator with identical totals, malformed or mismatched documents are rejected
+// with recoverable Statuses, and ValidatePlanForGraph rejects plans that do not fit the
+// graph they are applied to.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -37,7 +39,7 @@ PartitionPlan PlanFor(const ModelGraph& model, int workers) {
 TEST(PlanJson, RoundTripsEveryField) {
   ModelGraph model = SmallModel();
   PartitionPlan plan = PlanFor(model, 8);
-  plan.search_stats.wall_seconds = 0.015625;  // representable, so EQ is exact
+  plan.search_stats.wall_seconds = 0.015625;  // a timing: must not reach the JSON
   plan.memory_budget_bytes = 123456789;       // exercise the v2 memory fields
   plan.memory_feasible = false;
   plan.search_stats.memory_pruned_states = 42;
@@ -56,7 +58,11 @@ TEST(PlanJson, RoundTripsEveryField) {
             plan.search_stats.max_frontier_states);
   EXPECT_EQ(reloaded->search_stats.cost_table_entries,
             plan.search_stats.cost_table_entries);
-  EXPECT_EQ(reloaded->search_stats.wall_seconds, plan.search_stats.wall_seconds);
+  // Timings never enter plan JSON: the key is kept for readers and always carries 0.
+  EXPECT_EQ(reloaded->search_stats.wall_seconds, 0.0);
+  PartitionPlan untimed = plan;
+  untimed.search_stats.wall_seconds = 0.0;
+  EXPECT_EQ(PlanToJson(plan), PlanToJson(untimed));
   EXPECT_EQ(reloaded->search_stats.exact, plan.search_stats.exact);
   EXPECT_EQ(reloaded->search_stats.memory_pruned_states,
             plan.search_stats.memory_pruned_states);
@@ -74,6 +80,22 @@ TEST(PlanJson, RoundTripsEveryField) {
   }
   // The serialized forms agree byte-for-byte, so plans can be compared as strings.
   EXPECT_EQ(PlanToJson(*reloaded), PlanToJson(plan));
+}
+
+TEST(PlanJson, FreshSessionsSerializeIdenticalBytes) {
+  ModelGraph model = SmallModel();
+  PartitionRequest request;
+  request.graph = &model.graph;
+  Session first(DeviceTopology::Uniform(8));
+  Session second(DeviceTopology::Uniform(8));
+  Result<PartitionResponse> a = first.Partition(request);
+  Result<PartitionResponse> b = second.Partition(request);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_FALSE(a->from_cache);
+  EXPECT_FALSE(b->from_cache);
+  // No normalization: the two searches took different wall times, the JSON must not.
+  EXPECT_EQ(PlanToJson(a->plan), PlanToJson(b->plan));
 }
 
 TEST(PlanJson, ReloadedPlanReplaysIdentically) {

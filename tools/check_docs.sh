@@ -2,8 +2,10 @@
 # Docs drift check: every operator registered in src/tofu/tdl/ops_*.cc must be documented
 # in docs/tdl.md (as a backticked `name`), and every partition-algorithm name returned by
 # AlgorithmName (src/tofu/core/session.cc) must appear in both docs/serving.md and
-# docs/api.md. Run from anywhere; exits non-zero listing the drift. CI runs this on every
-# push (see .github/workflows/ci.yml).
+# docs/api.md, and every backticked CamelCase identifier in docs/memory.md,
+# docs/pipeline.md and docs/cost_model.md must exist under src/, tools/ or bench/. Run from
+# anywhere; exits non-zero listing the drift. CI runs this on every push (see
+# .github/workflows/ci.yml).
 set -u
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 doc="$repo/docs/tdl.md"
@@ -98,3 +100,31 @@ if [[ $link_missing -gt 0 ]]; then
   exit 1
 fi
 echo "check_docs: docs/memory.md present and cross-linked from search, cost_model, api"
+
+# Every backticked CamelCase identifier in the memory, pipeline and cost-model docs
+# (`PeakProfile`, `ShardKernelSeconds(...)`, ...) must still name something under src/,
+# tools/ or bench/, so a deleted or renamed interface cannot linger in the docs.
+ident_missing=0
+ident_total=0
+for idoc in "$repo/docs/memory.md" "$repo/docs/pipeline.md" "$repo/docs/cost_model.md"; do
+  idents=$(
+    grep -oE '`[^`]+`' "$idoc" | tr -d '`' |
+      grep -oE '^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*[A-Z][A-Za-z0-9]*' | sort -u
+  )
+  for ident in $idents; do
+    ident_total=$((ident_total + 1))
+    if ! grep -rqwF -- "$ident" "$repo/src" "$repo/tools" "$repo/bench"; then
+      echo "check_docs: ${idoc#"$repo"/} names \`$ident\`, found nowhere under src/, tools/ or bench/" >&2
+      ident_missing=$((ident_missing + 1))
+    fi
+  done
+done
+if [[ $ident_total -eq 0 ]]; then
+  echo "check_docs: found no backticked identifiers in the memory/pipeline/cost_model docs -- pattern drift?" >&2
+  exit 1
+fi
+if [[ $ident_missing -gt 0 ]]; then
+  echo "check_docs: $ident_missing stale identifiers in the memory/pipeline/cost_model docs" >&2
+  exit 1
+fi
+echo "check_docs: all $ident_total backticked identifiers in memory/pipeline/cost_model docs exist in the code"
